@@ -12,7 +12,7 @@ BENCHES = BenchmarkEngineEventRate|BenchmarkPolicyThroughput|BenchmarkBackfillPo
 # saturation cutoff.
 FIGBENCH = BenchmarkFigureWallClock
 
-.PHONY: verify test bench bench-smoke bench-baseline bench-record cpuprofile lint fmt-check
+.PHONY: verify test bench bench-smoke bench-check bench-baseline bench-record cpuprofile lint fmt-check
 
 # verify is the tier-1 gate: formatting, vet, build, the detlint
 # determinism rules (cmd/mclint), the full test suite, and the test
@@ -71,6 +71,18 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchtime 1x -count 3 -benchmem . | $(GO) run ./scripts/benchguard -record BENCH_3.json -key smoke -max-time-regress 0.35
 	$(GO) test -run '^$$' -bench '$(FIGBENCH)' -benchtime 1x -count 3 -benchmem . | $(GO) run ./scripts/benchguard -record BENCH_4.json -key smoke -match '^BenchmarkFigureWallClock/' -max-time-regress 0.35 -speedup-base BenchmarkFigureWallClock/legacy -speedup-test BenchmarkFigureWallClock/overhauled -min-speedup 3
+
+# bench-check runs the repository benchmark's self-tests, then its drivers
+# workload (trace replay, constant backlog and a faulted, traced open
+# system) at both recorded seeds. Each run must report "correct":true,
+# which requires its output digest to equal the committed reference.
+# run.sh exits 0 even when a check fails, so the JSON line is grepped.
+bench-check:
+	cd perfbench && $(GO) test ./...
+	@for seed in 1 7; do \
+		bash perfbench/run.sh --workload drivers --seed $$seed --seconds 1 --trace 0 | grep -q '"correct":true' || \
+			{ echo "bench-check: drivers workload at seed $$seed is not correct"; exit 1; }; \
+	done
 
 # bench-record re-measures the hot paths into BENCH_3.json: the amortized
 # numbers under "after" (the profile-overhaul record README cites) and

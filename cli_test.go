@@ -90,6 +90,27 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	// Every single-cluster policy, SC-CONS included, runs on one
+	// 128-processor cluster by default.
+	t.Run("single-cluster defaults", func(t *testing.T) {
+		for _, pol := range []string{"SC", "SC-EASY", "SC-CONS"} {
+			out := run(t, bin("mcsim"), "-policy", pol, "-util", "0.4", "-jobs", "2000", "-warmup", "200")
+			if !strings.Contains(out, "policy              "+pol+"\n") {
+				t.Errorf("mcsim -policy %s output:\n%s", pol, out)
+			}
+			out = run(t, bin("mcreplay"), "-policy", pol, "-jobs", "2000")
+			if !strings.Contains(out, "jobs replayed     2000") {
+				t.Errorf("mcreplay -policy %s output:\n%s", pol, out)
+			}
+		}
+		help := run(t, bin("mcreplay"), "-h")
+		for _, pol := range []string{"GS-CONS", "GS-SPF", "SC-CONS"} {
+			if !strings.Contains(help, pol) {
+				t.Errorf("mcreplay -policy help omits %s:\n%s", pol, help)
+			}
+		}
+	})
+
 	t.Run("mcexp", func(t *testing.T) {
 		out := run(t, bin("mcexp"), "-quick", "table2")
 		if !strings.Contains(out, "0.009") { // the recovered Table 2 entry
@@ -163,6 +184,7 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcsim", []string{"-policy", "GS", "-backlog", "-decisions"}, "-decisions"},
 			{"mcsim", []string{"-policy", "GS", "-backlog", "-metrics"}, "-backlog"},
 			{"mcsim", []string{"-policy", "GS", "-retry-base", "700"}, "retry window"},
+			{"mcreplay", []string{"-clusters", "32,x"}, "bad -clusters value"},
 			{"mcexp", []string{"-quick", "-lookahead", "8", "fig1"}, "conservative backfilling"},
 			{"mcexp", []string{"-quick", "-lookahead", "-2", "backfill"}, "must be >= 1"},
 			{"mcexp", []string{"-quick", "-decisions", "table1"}, "-decisions"},

@@ -13,9 +13,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
+	"coalloc/internal/cliutil"
 	"coalloc/internal/cluster"
 	"coalloc/internal/core"
 	"coalloc/internal/dastrace"
@@ -24,13 +24,13 @@ import (
 )
 
 func main() {
-	policy := flag.String("policy", "LS", "scheduling policy: GS, GS-EASY, LS, LS-sorted, LP, SC or SC-EASY")
+	policy := flag.String("policy", "LS", cliutil.PolicyHelp)
 	limit := flag.Int("limit", 16, "job-component-size limit")
 	load := flag.Float64("load", 1, "load factor: >1 compresses interarrival gaps")
 	ext := flag.Float64("ext", workload.DefaultExtensionFactor, "extension factor for multi-component jobs")
 	seed := flag.Uint64("seed", 1, "routing seed")
 	unbalanced := flag.Bool("unbalanced", false, "unbalanced local-queue routing")
-	clusters := flag.String("clusters", "", "comma-separated cluster sizes (default 32,32,32,32; SC: 128)")
+	clusters := flag.String("clusters", "", cliutil.ClustersHelp)
 	jobs := flag.Int("jobs", 0, "replay only the first N jobs (0 = all)")
 	fit := flag.String("fit", "WF", "placement rule: WF, FF or BF")
 	schedule := flag.String("schedule", "", "write the per-job schedule (Gantt CSV) to this file")
@@ -63,26 +63,7 @@ func main() {
 		recs = recs[:*jobs]
 	}
 
-	clusterSizes := []int{32, 32, 32, 32}
-	if *policy == "SC" || *policy == "SC-EASY" {
-		clusterSizes = []int{128}
-	}
-	if *clusters != "" {
-		clusterSizes = nil
-		for _, fld := range strings.Split(*clusters, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(fld))
-			if err != nil || n <= 0 {
-				fatalf("bad -clusters value %q", fld)
-			}
-			clusterSizes = append(clusterSizes, n)
-		}
-	}
-
-	componentLimit := *limit
-	if *policy == "SC" || *policy == "SC-EASY" {
-		// Total requests: never split.
-		componentLimit = clusterSizes[0]
-	}
+	clusterSizes := cliutil.Clusters("mcreplay", *policy, *clusters)
 
 	var fitRule cluster.Fit
 	switch strings.ToUpper(*fit) {
@@ -106,7 +87,7 @@ func main() {
 		Records:         recs,
 		Policy:          *policy,
 		Fit:             fitRule,
-		ComponentLimit:  componentLimit,
+		ComponentLimit:  *limit,
 		ExtensionFactor: *ext,
 		LoadFactor:      *load,
 		QueueWeights:    weights,

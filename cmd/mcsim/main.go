@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"coalloc/internal/cliutil"
@@ -27,7 +26,7 @@ import (
 )
 
 func main() {
-	policy := flag.String("policy", "LS", "scheduling policy: GS, GS-EASY, GS-CONS, GS-SPF, LS, LS-sorted, LP, SC, SC-EASY or SC-CONS")
+	policy := flag.String("policy", "LS", cliutil.PolicyHelp)
 	limit := flag.Int("limit", 16, "job-component-size limit (16, 24 or 32 in the paper)")
 	util := flag.Float64("util", 0.5, "offered gross utilization")
 	jobs := flag.Int("jobs", 30000, "measured jobs")
@@ -39,7 +38,7 @@ func main() {
 	ext := flag.Float64("ext", workload.DefaultExtensionFactor, "wide-area extension factor for multi-component jobs")
 	fit := flag.String("fit", "WF", "placement rule: WF, FF or BF")
 	lookahead := flag.Int("lookahead", 0, "conservative-backfilling reservation bound (0 = default 32; must be >= 1)")
-	clusters := flag.String("clusters", "", "comma-separated cluster sizes (default 32,32,32,32; SC uses 128)")
+	clusters := flag.String("clusters", "", cliutil.ClustersHelp)
 	backlog := flag.Bool("backlog", false, "run a constant-backlog (maximal utilization) simulation instead")
 	mtbf := flag.Float64("mtbf", 0, "per-cluster mean time between processor failures in s (0 = no failures)")
 	mttr := flag.Float64("mttr", 900, "mean time to repair a failed processor in s")
@@ -65,30 +64,13 @@ func main() {
 		sizes = der.Sizes64
 	}
 
-	clusterSizes := []int{32, 32, 32, 32}
-	if *policy == "SC" || *policy == "SC-EASY" {
-		clusterSizes = []int{128}
-	}
-	if *clusters != "" {
-		clusterSizes = nil
-		for _, f := range strings.Split(*clusters, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fatalf("bad -clusters value %q", f)
-			}
-			clusterSizes = append(clusterSizes, n)
-		}
-	}
-
+	clusterSizes := cliutil.Clusters("mcsim", *policy, *clusters)
 	spec := workload.Spec{
 		Sizes:           sizes,
 		Service:         der.Service,
 		ComponentLimit:  *limit,
 		Clusters:        len(clusterSizes),
 		ExtensionFactor: *ext,
-	}
-	if *policy == "SC" || *policy == "SC-EASY" {
-		spec.ComponentLimit = sizes.Max() // total requests: never split
 	}
 
 	var fitRule cluster.Fit

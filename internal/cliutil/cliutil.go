@@ -10,7 +10,10 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
+	"strings"
 
+	"coalloc/internal/core"
 	"coalloc/internal/faults"
 )
 
@@ -21,6 +24,35 @@ var exit = os.Exit
 func Failf(prog, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
 	exit(2)
+}
+
+// PolicyHelp is the -policy flag help of the commands that run one policy.
+const PolicyHelp = "scheduling policy: GS, GS-EASY, GS-CONS, GS-SPF, LS, LS-sorted, LP, SC, SC-EASY or SC-CONS"
+
+// ClustersHelp is the -clusters flag help, matching Clusters.
+const ClustersHelp = "comma-separated cluster sizes (default 32,32,32,32; SC, SC-EASY and SC-CONS: 128)"
+
+// Clusters resolves the -clusters flag: the comma-separated cluster
+// sizes when given, else the paper's multicluster {32, 32, 32, 32} — or
+// one 128-processor cluster for a single-cluster policy (core.SingleCluster).
+// A single cluster never splits a job, so those runs submit total
+// requests whatever the component-size limit.
+func Clusters(prog, policy, value string) []int {
+	if value == "" {
+		if core.SingleCluster(policy) {
+			return []int{128}
+		}
+		return []int{32, 32, 32, 32}
+	}
+	var sizes []int
+	for _, f := range strings.Split(value, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n <= 0 {
+			Failf(prog, "bad -clusters value %q", f)
+		}
+		sizes = append(sizes, n)
+	}
+	return sizes
 }
 
 // CheckLookahead validates the -lookahead flag: 0 means "use the

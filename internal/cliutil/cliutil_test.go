@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -96,6 +97,31 @@ func TestCheckRetryWindow(t *testing.T) {
 		})
 		if got != c.want {
 			t.Errorf("CheckRetryWindow(%g, %g) exit %d, want %d", c.base, c.cap, got, c.want)
+		}
+	}
+}
+
+func TestClusters(t *testing.T) {
+	cases := []struct {
+		policy, value string
+		want          []int
+	}{
+		{"GS", "", []int{32, 32, 32, 32}},
+		{"LS", "", []int{32, 32, 32, 32}},
+		{"SC", "", []int{128}},
+		{"SC-EASY", "", []int{128}},
+		{"SC-CONS", "", []int{128}},
+		{"SC-CONS", "64", []int{64}},
+		{"GS", "16, 48", []int{16, 48}},
+	}
+	for _, c := range cases {
+		if got := Clusters("test", c.policy, c.value); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Clusters(%s, %q) = %v, want %v", c.policy, c.value, got, c.want)
+		}
+	}
+	for _, bad := range []string{"32,x", "0", "32,,32", "-4"} {
+		if got := captureExit(t, func() { Clusters("test", "GS", bad) }); got != 2 {
+			t.Errorf("Clusters(%q) exit %d, want 2", bad, got)
 		}
 	}
 }

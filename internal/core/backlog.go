@@ -2,21 +2,17 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"coalloc/internal/cluster"
-	"coalloc/internal/dectrace"
-	"coalloc/internal/obs"
-	"coalloc/internal/policies"
-	"coalloc/internal/rng"
-	"coalloc/internal/sim"
-	"coalloc/internal/stats"
 	"coalloc/internal/workload"
 )
 
 // BacklogConfig describes a closed-system run that measures the maximal
 // utilization of a policy, following Section 4 of the paper: "we maintain
 // a constant backlog and observe the time-average fraction of processors
-// being busy, which yields the maximal gross utilization".
+// being busy, which yields the maximal gross utilization". The run keeps
+// 64 jobs waiting at all times.
 type BacklogConfig struct {
 	// ClusterSizes, Spec, Policy, Fit, QueueWeights: as in Config.
 	ClusterSizes []int
@@ -27,8 +23,6 @@ type BacklogConfig struct {
 	// Lookahead is the conservative-backfilling reservation bound (as in
 	// Config.Lookahead; 0 = default).
 	Lookahead int
-	// Backlog is the number of jobs kept waiting at all times. Default 64.
-	Backlog int
 	// WarmupTime and MeasureTime bound the run in virtual seconds.
 	// Defaults: 50_000 and 500_000.
 	WarmupTime, MeasureTime float64
@@ -37,9 +31,6 @@ type BacklogConfig struct {
 }
 
 func (c *BacklogConfig) applyDefaults() {
-	if c.Backlog == 0 {
-		c.Backlog = 64
-	}
 	if c.WarmupTime == 0 {
 		c.WarmupTime = 50_000
 	}
@@ -66,139 +57,53 @@ type BacklogResult struct {
 	Jobs int
 }
 
-// RunBacklog executes a constant-backlog simulation.
-func RunBacklog(cfg BacklogConfig) (BacklogResult, error) {
-	cfg.applyDefaults()
-	if len(cfg.ClusterSizes) == 0 {
-		return BacklogResult{}, fmt.Errorf("core: no clusters configured")
+// RunBacklog executes a constant-backlog simulation: the simulation of Run
+// fed by refilling the queue to backlogDepth jobs at t=0 and after every
+// departure, measured over the virtual-time window [WarmupTime,
+// WarmupTime+MeasureTime].
+func RunBacklog(bc BacklogConfig) (BacklogResult, error) {
+	bc.applyDefaults()
+	cfg := Config{
+		ClusterSizes: bc.ClusterSizes,
+		Spec:         bc.Spec,
+		Policy:       bc.Policy,
+		Fit:          bc.Fit,
+		Lookahead:    bc.Lookahead,
+		QueueWeights: bc.QueueWeights,
+		// The window is set by virtual time, never by departure counts.
+		WarmupJobs:  math.MaxInt,
+		MeasureJobs: math.MaxInt,
+		Seed:        bc.Seed,
 	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return BacklogResult{}, err
-	}
-	if cfg.Spec.Clusters != len(cfg.ClusterSizes) {
-		return BacklogResult{}, fmt.Errorf("core: spec splits over %d clusters but system has %d",
-			cfg.Spec.Clusters, len(cfg.ClusterSizes))
-	}
-	if cfg.Backlog <= 0 {
-		return BacklogResult{}, fmt.Errorf("core: backlog %d must be positive", cfg.Backlog)
-	}
-	pol, err := buildPolicy(cfg.Policy, len(cfg.ClusterSizes), cfg.Fit, cfg.Lookahead)
+	pol, err := cfg.checkShared()
 	if err != nil {
 		return BacklogResult{}, err
 	}
-
-	src := rng.NewSource(cfg.Seed)
-	sizeStream := src.Stream("backlog/sizes")
-	svcStream := src.Stream("backlog/services")
-	routeStream := src.Stream("backlog/routing")
-
-	cdf := routingCDF(cfg.QueueWeights, len(cfg.ClusterSizes))
-
-	eng := sim.New()
-	m := cluster.New(cfg.ClusterSizes)
-	s := &backlogSim{
-		eng:     eng,
-		m:       m,
-		ext:     cfg.Spec.ExtensionFactor,
-		scratch: policies.NewScratch(len(cfg.ClusterSizes)),
+	if err := cfg.checkSpec(); err != nil {
+		return BacklogResult{}, err
 	}
-	eng.SetHandler(s.handleEvent)
-	s.busy.StartAt(0, 0)
-
-	var nextID int64
-	route := func() int {
-		if len(cdf) == 1 {
-			return 0
-		}
-		u := routeStream.Float64()
-		for i, c := range cdf {
-			if u < c {
-				return i
-			}
-		}
-		return len(cdf) - 1
+	if bc.WarmupTime < 0 || bc.MeasureTime < 0 {
+		return BacklogResult{}, fmt.Errorf("core: backlog warmup %g s / measure %g s must be positive (or 0 for the default)",
+			bc.WarmupTime, bc.MeasureTime)
 	}
-	topUp := func() {
-		for pol.Queued() < cfg.Backlog {
-			j := cfg.Spec.Sample(sizeStream, svcStream)
-			nextID++
-			j.ID = nextID
-			j.ArrivalTime = eng.Now()
-			j.Queue = route()
-			pol.Submit(s, j)
-		}
+	s, err := newSimulation(cfg, pol, "backlog", workload.NewArena())
+	if err != nil {
+		return BacklogResult{}, err
 	}
-	s.pol = pol
-	s.onDepart = topUp
+	s.source = backlogRefill
+	s.refill()
+	s.eng.RunUntil(bc.WarmupTime)
+	s.startMeasuring(s.eng.Now())
+	s.eng.RunUntil(bc.WarmupTime + bc.MeasureTime)
 
-	topUp()
-	eng.RunUntil(cfg.WarmupTime)
-	s.busy.StartAt(eng.Now(), float64(m.Busy()))
-	s.departures = 0
-	eng.RunUntil(cfg.WarmupTime + cfg.MeasureTime)
-
-	window := eng.Now() - cfg.WarmupTime
-	capacity := float64(m.Capacity())
-	gross := s.busy.Average(eng.Now()) / capacity
+	window := s.eng.Now() - bc.WarmupTime
+	gross := s.busy.Average(s.eng.Now()) / float64(s.m.Capacity())
+	jobs := int(s.respAll.N())
 	return BacklogResult{
-		Policy:              cfg.Policy,
+		Policy:              bc.Policy,
 		MaxGrossUtilization: gross,
-		MaxNetUtilization:   gross / cfg.Spec.GrossNetRatio(),
-		Throughput:          float64(s.departures) / window,
-		Jobs:                s.departures,
+		MaxNetUtilization:   gross / bc.Spec.GrossNetRatio(),
+		Throughput:          float64(jobs) / window,
+		Jobs:                jobs,
 	}, nil
-}
-
-// backlogSim is the policies.Ctx for constant-backlog runs.
-type backlogSim struct {
-	eng        *sim.Engine
-	m          *cluster.Multicluster
-	pol        policies.Policy
-	busy       stats.TimeWeighted
-	scratch    *policies.Scratch
-	departures int
-	onDepart   func()
-	ext        float64
-}
-
-var _ policies.Ctx = (*backlogSim)(nil)
-
-func (s *backlogSim) Cluster() *cluster.Multicluster { return s.m }
-
-func (s *backlogSim) Now() float64 { return s.eng.Now() }
-
-// Obs returns nil: backlog runs are short calibration sweeps with no
-// observability wiring.
-func (s *backlogSim) Obs() *obs.Observer { return nil }
-
-// Dec returns nil: backlog runs have no decision tracing either.
-func (s *backlogSim) Dec() *dectrace.Tracer { return nil }
-
-func (s *backlogSim) Scratch() *policies.Scratch { return s.scratch }
-
-func (s *backlogSim) Dispatch(j *workload.Job, placement []int) {
-	now := s.eng.Now()
-	j.StartTime = now
-	// placement may point into shared pass scratch; the job keeps a
-	// stable copy for the release on departure.
-	j.Placement = append([]int(nil), placement...)
-	placement = j.Placement
-	if j.Type == workload.Flexible {
-		j.FinalizeFlexible(j.Components, s.ext)
-	}
-	s.m.Alloc(j.Components, placement)
-	s.busy.Set(now, float64(s.m.Busy()))
-	s.eng.ScheduleAfter(j.ExtendedServiceTime, evDeparture, j)
-}
-
-// handleEvent processes the typed departure events of a backlog run.
-func (s *backlogSim) handleEvent(kind int32, payload any) {
-	j := payload.(*workload.Job)
-	t := s.eng.Now()
-	j.FinishTime = t
-	s.m.Release(j.Components, j.Placement)
-	s.busy.Set(t, float64(s.m.Busy()))
-	s.departures++
-	s.pol.JobDeparted(s, j)
-	s.onDepart()
 }

@@ -124,9 +124,60 @@ func (c *Config) applyDefaults() {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if len(c.ClusterSizes) == 0 {
-		return fmt.Errorf("core: no clusters configured")
+	_, err := c.check()
+	return err
+}
+
+// check validates an open-system configuration and builds its policy.
+func (c *Config) check() (policies.Policy, error) {
+	pol, err := c.checkShared()
+	if err != nil {
+		return nil, err
 	}
+	if err := c.checkSpec(); err != nil {
+		return nil, err
+	}
+	if c.ArrivalRate <= 0 {
+		return nil, fmt.Errorf("core: arrival rate %g must be positive", c.ArrivalRate)
+	}
+	if c.WarmupJobs < 0 || c.MeasureJobs <= 0 {
+		return nil, fmt.Errorf("core: warmup %d / measure %d jobs", c.WarmupJobs, c.MeasureJobs)
+	}
+	if c.RequestType != workload.Unordered && c.Policy != "GS" && c.Policy != "SC" {
+		return nil, fmt.Errorf("core: %s requests require the GS or SC policy, not %s",
+			c.RequestType, c.Policy)
+	}
+	if (c.Trace != nil || c.TraceProvider != nil) && c.RequestType != workload.Unordered {
+		return nil, fmt.Errorf("core: workload traces support unordered requests, not %s", c.RequestType)
+	}
+	if c.Faults.Enabled() {
+		if err := c.Faults.Validate(); err != nil {
+			return nil, err
+		}
+		if _, ok := pol.(policies.FaultAware); !ok {
+			return nil, fmt.Errorf("core: policy %s does not implement policies.FaultAware (abort handling, capacity-change repair of any retained scheduling state), so it cannot run with fault injection", c.Policy)
+		}
+	}
+	return pol, nil
+}
+
+// checkShared validates the fields every run mode — open system, trace
+// replay and constant backlog — shares: the clusters, the queue routing
+// and the policy with its reservation bound. It builds the policy.
+func (c *Config) checkShared() (policies.Policy, error) {
+	if len(c.ClusterSizes) == 0 {
+		return nil, fmt.Errorf("core: no clusters configured")
+	}
+	if c.QueueWeights != nil && len(c.QueueWeights) != len(c.ClusterSizes) {
+		return nil, fmt.Errorf("core: %d queue weights for %d clusters",
+			len(c.QueueWeights), len(c.ClusterSizes))
+	}
+	return buildPolicy(c.Policy, len(c.ClusterSizes), c.Fit, c.Lookahead)
+}
+
+// checkSpec validates the sampled workload against the clusters (open
+// system and constant backlog; a replay takes its jobs from the log).
+func (c *Config) checkSpec() error {
 	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
@@ -134,39 +185,18 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: spec splits over %d clusters but system has %d",
 			c.Spec.Clusters, len(c.ClusterSizes))
 	}
-	if c.ArrivalRate <= 0 {
-		return fmt.Errorf("core: arrival rate %g must be positive", c.ArrivalRate)
-	}
-	if c.QueueWeights != nil && len(c.QueueWeights) != len(c.ClusterSizes) {
-		return fmt.Errorf("core: %d queue weights for %d clusters",
-			len(c.QueueWeights), len(c.ClusterSizes))
-	}
-	if c.WarmupJobs < 0 || c.MeasureJobs <= 0 {
-		return fmt.Errorf("core: warmup %d / measure %d jobs", c.WarmupJobs, c.MeasureJobs)
-	}
-	if c.Lookahead < 0 {
-		return fmt.Errorf("core: lookahead %d must be >= 1 (or 0 for the default)", c.Lookahead)
-	}
-	pol, err := buildPolicy(c.Policy, len(c.ClusterSizes), c.Fit, c.Lookahead)
-	if err != nil {
-		return err
-	}
-	if c.RequestType != workload.Unordered && c.Policy != "GS" && c.Policy != "SC" {
-		return fmt.Errorf("core: %s requests require the GS or SC policy, not %s",
-			c.RequestType, c.Policy)
-	}
-	if (c.Trace != nil || c.TraceProvider != nil) && c.RequestType != workload.Unordered {
-		return fmt.Errorf("core: workload traces support unordered requests, not %s", c.RequestType)
-	}
-	if c.Faults.Enabled() {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-		if _, ok := pol.(policies.FaultAware); !ok {
-			return fmt.Errorf("core: policy %s does not implement policies.FaultAware (abort handling, capacity-change repair of any retained scheduling state), so it cannot run with fault injection", c.Policy)
-		}
-	}
 	return nil
+}
+
+// SingleCluster reports whether the named policy schedules a single
+// cluster: SC and its backfilling variants, which reject multicluster
+// systems.
+func SingleCluster(policy string) bool {
+	switch policy {
+	case "SC", "SC-EASY", "SC-CONS":
+		return true
+	}
+	return false
 }
 
 // buildPolicy constructs a policy by its paper abbreviation. lookahead is
@@ -176,15 +206,15 @@ func buildPolicy(name string, clusters int, fit cluster.Fit, lookahead int) (pol
 		lookahead = policies.DefaultLookahead
 	}
 	if lookahead < 1 {
-		return nil, fmt.Errorf("core: lookahead %d must be >= 1", lookahead)
+		return nil, fmt.Errorf("core: lookahead %d must be >= 1 (or 0 for the default)", lookahead)
+	}
+	if SingleCluster(name) && clusters != 1 {
+		return nil, fmt.Errorf("core: %s needs a single cluster, got %d", name, clusters)
 	}
 	switch name {
 	case "GS":
 		return policies.NewGS(fit), nil
 	case "SC":
-		if clusters != 1 {
-			return nil, fmt.Errorf("core: SC needs a single cluster, got %d", clusters)
-		}
 		return policies.NewSC(), nil
 	case "GS-EASY":
 		return policies.NewEASY(fit), nil
@@ -193,14 +223,8 @@ func buildPolicy(name string, clusters int, fit cluster.Fit, lookahead int) (pol
 	case "GS-SPF":
 		return policies.NewSPF(fit), nil
 	case "SC-CONS":
-		if clusters != 1 {
-			return nil, fmt.Errorf("core: SC-CONS needs a single cluster, got %d", clusters)
-		}
 		return policies.NewSCConservative(lookahead), nil
 	case "SC-EASY":
-		if clusters != 1 {
-			return nil, fmt.Errorf("core: SC-EASY needs a single cluster, got %d", clusters)
-		}
 		return policies.NewSCEASY(), nil
 	case "LS":
 		return policies.NewLS(clusters, fit), nil
@@ -210,7 +234,7 @@ func buildPolicy(name string, clusters int, fit cluster.Fit, lookahead int) (pol
 	case "LP":
 		return policies.NewLP(clusters, fit), nil
 	default:
-		return nil, fmt.Errorf("core: unknown policy %q (want GS, LS, LS-sorted, LP or SC)", name)
+		return nil, fmt.Errorf("core: unknown policy %q (want GS, GS-EASY, GS-CONS, GS-SPF, LS, LS-sorted, LP, SC, SC-EASY or SC-CONS)", name)
 	}
 }
 

@@ -435,7 +435,13 @@ func TestBacklogValidation(t *testing.T) {
 		{Spec: spec, Policy: "GS"},
 		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "XX"},
 		{ClusterSizes: []int{32, 32}, Spec: spec, Policy: "GS"},
-		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", Backlog: -1},
+		// Queue weights must match the clusters: too few would starve
+		// the remaining queues, too many route to queues that do not exist.
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "LS", QueueWeights: []float64{1, 1}},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "LS", QueueWeights: Balanced(6)},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", MeasureTime: -5},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", WarmupTime: -1},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS-CONS", Lookahead: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := RunBacklog(cfg); err == nil {

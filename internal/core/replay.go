@@ -10,12 +10,7 @@ import (
 
 	"coalloc/internal/cluster"
 	"coalloc/internal/dastrace"
-	"coalloc/internal/dectrace"
 	"coalloc/internal/obs"
-	"coalloc/internal/policies"
-	"coalloc/internal/rng"
-	"coalloc/internal/sim"
-	"coalloc/internal/stats"
 	"coalloc/internal/workload"
 )
 
@@ -31,13 +26,10 @@ type ReplayConfig struct {
 	// time. Records with non-positive size or service time, or a size
 	// exceeding the total capacity, are rejected with an error.
 	Records []dastrace.Record
-	// Policy is one of GS, LS, LS-sorted, LP, SC.
+	// Policy is any policy Config accepts.
 	Policy string
 	// Fit is the placement rule.
 	Fit cluster.Fit
-	// Lookahead is the conservative-backfilling reservation bound (as in
-	// Config.Lookahead; 0 = default).
-	Lookahead int
 	// ComponentLimit splits each recorded size into components, exactly
 	// as the synthetic workload does. Use the largest recorded size (or
 	// the single-cluster capacity) to replay total requests.
@@ -85,38 +77,55 @@ type ReplayResult struct {
 	MaxQueue int
 }
 
-// Replay runs a trace through a policy and returns its metrics.
-func Replay(cfg ReplayConfig) (ReplayResult, error) {
-	if len(cfg.ClusterSizes) == 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay with no clusters")
+// Replay runs a trace through a policy and returns its metrics. It is the
+// simulation of Run fed by the recorded jobs: each is built in the run's
+// arena and its arrival scheduled at set-up, and the whole run, from t=0
+// to the last departure, is measured.
+func Replay(rc ReplayConfig) (ReplayResult, error) {
+	cfg := Config{
+		ClusterSizes: rc.ClusterSizes,
+		Spec: workload.Spec{
+			ComponentLimit:  rc.ComponentLimit,
+			Clusters:        len(rc.ClusterSizes),
+			ExtensionFactor: rc.ExtensionFactor,
+		},
+		Policy:       rc.Policy,
+		Fit:          rc.Fit,
+		QueueWeights: rc.QueueWeights,
+		MeasureJobs:  math.MaxInt, // never stop on a departure count
+		Seed:         rc.Seed,
+		Observer:     rc.Observer,
 	}
-	if len(cfg.Records) == 0 {
+	pol, err := cfg.checkShared()
+	if err != nil {
+		return ReplayResult{}, err
+	}
+	if len(rc.Records) == 0 {
 		return ReplayResult{}, fmt.Errorf("core: replay with no records")
 	}
-	if cfg.ComponentLimit <= 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay component limit %d", cfg.ComponentLimit)
+	if rc.ComponentLimit <= 0 {
+		return ReplayResult{}, fmt.Errorf("core: replay component limit %d", rc.ComponentLimit)
 	}
-	if cfg.ExtensionFactor < 1 {
-		return ReplayResult{}, fmt.Errorf("core: replay extension factor %g", cfg.ExtensionFactor)
+	if rc.ExtensionFactor < 1 {
+		return ReplayResult{}, fmt.Errorf("core: replay extension factor %g", rc.ExtensionFactor)
 	}
-	load := cfg.LoadFactor
+	load := rc.LoadFactor
 	if load == 0 {
 		load = 1
 	}
 	if load <= 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay load factor %g", cfg.LoadFactor)
+		return ReplayResult{}, fmt.Errorf("core: replay load factor %g", rc.LoadFactor)
 	}
-	pol, err := buildPolicy(cfg.Policy, len(cfg.ClusterSizes), cfg.Fit, cfg.Lookahead)
+	recs := make([]dastrace.Record, len(rc.Records))
+	copy(recs, rc.Records)
+	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Submit < recs[b].Submit })
+
+	s, err := newSimulation(cfg, pol, "replay", workload.NewArena())
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	m := cluster.New(cfg.ClusterSizes)
-	clusters := len(cfg.ClusterSizes)
-	capacity := m.Capacity()
-
-	recs := make([]dastrace.Record, len(cfg.Records))
-	copy(recs, cfg.Records)
-	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Submit < recs[b].Submit })
+	s.source = recordedArrivals
+	capacity := s.m.Capacity()
 	for _, r := range recs {
 		if r.Size <= 0 || r.Service <= 0 {
 			return ReplayResult{}, fmt.Errorf("core: replay record %d has size %d, service %g", r.ID, r.Size, r.Service)
@@ -125,129 +134,42 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 			return ReplayResult{}, fmt.Errorf("core: replay record %d needs %d of %d processors", r.ID, r.Size, capacity)
 		}
 	}
-
-	cdf := routingCDF(cfg.QueueWeights, clusters)
-	routeStream := rng.NewSource(cfg.Seed).Stream("replay/routing")
-	route := func() int {
-		if len(cdf) == 1 {
-			return 0
-		}
-		u := routeStream.Float64()
-		for i, c := range cdf {
-			if u < c {
-				return i
-			}
-		}
-		return len(cdf) - 1
+	if rc.ScheduleWriter != nil {
+		s.sched = bufio.NewWriter(rc.ScheduleWriter)
+		fmt.Fprintln(s.sched, "id,size,components,arrival,start,finish,clusters")
 	}
-
-	eng := sim.New()
-	var busy stats.TimeWeighted
-	busy.StartAt(0, 0)
-	var resp, slow stats.Welford
-	quantiles := stats.NewQuantileSet()
-	var grossWork, netWork float64
-	var firstArrival, lastFinish float64
-	firstArrival = math.Inf(1)
-	maxQueue := 0
-
-	var sched *bufio.Writer
-	if cfg.ScheduleWriter != nil {
-		sched = bufio.NewWriter(cfg.ScheduleWriter)
-		fmt.Fprintln(sched, "id,size,components,arrival,start,finish,clusters")
+	s.startMeasuring(0)
+	for _, r := range recs {
+		j := s.spec.JobFromDraws(s.arena, r.Size, r.Service)
+		j.ID = int64(r.ID)
+		s.eng.Schedule(r.Submit/load, evArrival, j)
 	}
-	rs := &replaySim{
-		eng: eng,
-		m:   m,
-		onDispatch: func(j *workload.Job) {
-			grossWork += float64(j.TotalSize) * j.ExtendedServiceTime
-			netWork += float64(j.TotalSize) * j.ServiceTime
-		},
-		onDepart: func(j *workload.Job) {
-			r := j.ResponseTime()
-			resp.Add(r)
-			quantiles.Add(r)
-			slow.Add(boundedSlowdown(r, j.ServiceTime))
-			if j.FinishTime > lastFinish {
-				lastFinish = j.FinishTime
-			}
-			if sched != nil {
-				fmt.Fprintf(sched, "%d,%d,%s,%.2f,%.2f,%.2f,%s\n",
-					j.ID, j.TotalSize, intsDash(j.Components),
-					j.ArrivalTime, j.StartTime, j.FinishTime, intsDash(j.Placement))
-			}
-		},
-		busy:    &busy,
-		pol:     pol,
-		obs:     cfg.Observer,
-		scratch: policies.NewScratch(clusters),
-	}
-	rs.onArrive = func(j *workload.Job) {
-		j.ArrivalTime = eng.Now()
-		j.Queue = route()
-		rs.obs.Arrival(j.ArrivalTime, j.ID, j.TotalSize, j.Components, j.Queue)
-		pol.Submit(rs, j)
-		if q := pol.Queued(); q > maxQueue {
-			maxQueue = q
-		}
-		if rs.obs.Enabled() {
-			rs.obs.QueueDepth(pol.Queued())
-		}
-	}
-	eng.SetHandler(rs.handleEvent)
-	if cfg.Observer != nil {
-		eng.SetObserver(cfg.Observer)
-		cfg.Observer.SetClock(eng.Now)
-		if setter, ok := pol.(policies.ObserverSetter); ok {
-			setter.SetObserver(cfg.Observer)
-		}
-	}
-
-	// Jobs are pre-built during setup; the arrival event carries the job
-	// pointer and only stamps the arrival-time-dependent fields when it
-	// fires, so the replay loop itself schedules no closures.
-	for i := range recs {
-		r := recs[i]
-		at := r.Submit / load
-		if at < firstArrival {
-			firstArrival = at
-		}
-		j := &workload.Job{
-			ID:          int64(r.ID),
-			TotalSize:   r.Size,
-			Components:  workload.Split(r.Size, cfg.ComponentLimit, clusters),
-			ServiceTime: r.Service,
-		}
-		j.ExtendedServiceTime = j.ServiceTime
-		if j.Multi() {
-			j.ExtendedServiceTime *= cfg.ExtensionFactor
-		}
-		eng.Schedule(at, evArrival, j)
-	}
-	eng.Run()
-	eng.ReportStats()
+	s.eng.Run()
+	s.eng.ReportStats()
 
 	if q := pol.Queued(); q > 0 {
 		return ReplayResult{}, fmt.Errorf("core: replay ended with %d jobs stuck in queue", q)
 	}
-	if sched != nil {
-		if err := sched.Flush(); err != nil {
+	if s.sched != nil {
+		if err := s.sched.Flush(); err != nil {
 			return ReplayResult{}, fmt.Errorf("core: writing schedule: %w", err)
 		}
 	}
 	res := ReplayResult{
-		Policy:         cfg.Policy,
-		Jobs:           int(resp.N()),
-		MeanResponse:   resp.Mean(),
-		MedianResponse: quantiles.Q50.Value(),
-		P95Response:    quantiles.Q95.Value(),
-		MeanSlowdown:   slow.Mean(),
-		Makespan:       lastFinish - firstArrival,
-		MaxQueue:       maxQueue,
+		Policy:         rc.Policy,
+		Jobs:           int(s.respAll.N()),
+		MeanResponse:   s.respAll.Mean(),
+		MedianResponse: s.quantiles.Q50.Value(),
+		P95Response:    s.quantiles.Q95.Value(),
+		MeanSlowdown:   s.slowdown.Mean(),
+		// The run ends on the last departure; recs is sorted by submit
+		// time, so the first arrival is recs[0]'s.
+		Makespan: s.eng.Now() - recs[0].Submit/load,
+		MaxQueue: s.maxQueue,
 	}
 	if res.Makespan > 0 {
-		res.GrossUtilization = grossWork / (float64(capacity) * res.Makespan)
-		res.NetUtilization = netWork / (float64(capacity) * res.Makespan)
+		res.GrossUtilization = s.grossWork / (float64(capacity) * res.Makespan)
+		res.NetUtilization = s.netWork / (float64(capacity) * res.Makespan)
 	}
 	return res, nil
 }
@@ -259,64 +181,4 @@ func intsDash(vs []int) string {
 		parts[i] = fmt.Sprint(v)
 	}
 	return strings.Join(parts, "-")
-}
-
-// replaySim is the policies.Ctx for replay runs.
-type replaySim struct {
-	eng        *sim.Engine
-	m          *cluster.Multicluster
-	pol        policies.Policy
-	busy       *stats.TimeWeighted
-	obs        *obs.Observer
-	scratch    *policies.Scratch
-	onDispatch func(*workload.Job)
-	onArrive   func(*workload.Job)
-	onDepart   func(*workload.Job)
-}
-
-var _ policies.Ctx = (*replaySim)(nil)
-
-func (s *replaySim) Cluster() *cluster.Multicluster { return s.m }
-
-func (s *replaySim) Now() float64 { return s.eng.Now() }
-
-func (s *replaySim) Obs() *obs.Observer { return s.obs }
-
-// Dec returns nil: replay runs re-execute a recorded schedule and record no
-// new decisions.
-func (s *replaySim) Dec() *dectrace.Tracer { return nil }
-
-func (s *replaySim) Scratch() *policies.Scratch { return s.scratch }
-
-func (s *replaySim) Dispatch(j *workload.Job, placement []int) {
-	now := s.eng.Now()
-	j.StartTime = now
-	// placement may point into shared pass scratch; the job keeps a
-	// stable copy for the schedule CSV and the release on departure.
-	j.Placement = append([]int(nil), placement...)
-	placement = j.Placement
-	s.m.Alloc(j.Components, placement)
-	s.busy.Set(now, float64(s.m.Busy()))
-	s.obs.Start(now, j.ID, now-j.ArrivalTime, placement)
-	s.onDispatch(j)
-	s.eng.ScheduleAfter(j.ExtendedServiceTime, evDeparture, j)
-}
-
-// handleEvent dispatches the typed arrival/departure events of a replay.
-func (s *replaySim) handleEvent(kind int32, payload any) {
-	j := payload.(*workload.Job)
-	switch kind {
-	case evArrival:
-		s.onArrive(j)
-	case evDeparture:
-		t := s.eng.Now()
-		j.FinishTime = t
-		s.obs.Departure(t, j.ID, j.ResponseTime())
-		s.m.Release(j.Components, j.Placement)
-		s.busy.Set(t, float64(s.m.Busy()))
-		s.onDepart(j)
-		s.pol.JobDeparted(s, j)
-	default:
-		panic(fmt.Sprintf("core: unknown replay event kind %d", kind))
-	}
 }

@@ -146,6 +146,10 @@ func TestReplayValidation(t *testing.T) {
 		func(c *ReplayConfig) {
 			c.Records = []dastrace.Record{{ID: 1, Size: 0, Service: 10}}
 		},
+		// Queue weights must match the clusters: too few would starve
+		// the remaining queues, too many route to queues that do not exist.
+		func(c *ReplayConfig) { c.Policy, c.QueueWeights = "LS", []float64{1, 1} },
+		func(c *ReplayConfig) { c.Policy, c.QueueWeights = "LS", Balanced(6) },
 	}
 	for i, f := range bad {
 		c := good

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
 	"math"
 	"sync"
@@ -17,8 +18,8 @@ import (
 	"coalloc/internal/workpool"
 )
 
-// Typed event kinds for the open-system hot loop. Arrivals and departures
-// go through the engine's typed-payload path (one handler, job pointer as
+// Typed event kinds of the simulation loop. Arrivals and departures go
+// through the engine's typed-payload path (one handler, job pointer as
 // payload) so the simulation schedules no per-event closures.
 const (
 	evArrival int32 = iota
@@ -39,6 +40,28 @@ const (
 // recycled arena is observationally identical to a fresh one.
 var arenaPool = sync.Pool{New: func() any { return workload.NewArena() }}
 
+// arrivalSource selects where a run's jobs come from. Every run mode —
+// open system, trace replay, constant backlog — is this one simulation fed
+// by a different source and measured over a different window (see the
+// front ends Run, Replay and RunBacklog).
+type arrivalSource uint8
+
+const (
+	// poissonArrivals samples jobs live (or reads them from a shared
+	// workload trace) and schedules each arrival from the previous one.
+	poissonArrivals arrivalSource = iota
+	// recordedArrivals replays a job log: every job is built and its
+	// arrival scheduled at set-up, so arrivals win time ties against
+	// departures scheduled later.
+	recordedArrivals
+	// backlogRefill keeps backlogDepth jobs queued, refilling after every
+	// departure; there are no arrival events.
+	backlogRefill
+)
+
+// backlogDepth is the number of jobs a constant-backlog run keeps waiting.
+const backlogDepth = 64
+
 // simulation implements policies.Ctx and carries one run's state.
 type simulation struct {
 	eng     *sim.Engine
@@ -51,10 +74,18 @@ type simulation struct {
 	arena   *workload.Arena
 	scratch *policies.Scratch
 
+	source arrivalSource
+
 	// cursor, when non-nil, replays a shared workload trace instead of
 	// sampling jobs live; traceIdx is the next entry to consume.
 	cursor   *traceCursor
 	traceIdx int
+
+	// sched, when non-nil, receives the Gantt CSV row of every completed
+	// job (trace replay's ReplayConfig.ScheduleWriter).
+	sched *bufio.Writer
+	// maxQueue is the largest queue a recorded arrival left behind.
+	maxQueue int
 
 	arrivalRate float64
 	reqType     workload.RequestType
@@ -168,11 +199,11 @@ func (s *simulation) Dispatch(j *workload.Job, placement []int) {
 	}
 }
 
-// handleEvent dispatches the typed events of the open-system loop.
+// handleEvent dispatches the typed events of the simulation loop.
 func (s *simulation) handleEvent(kind int32, payload any) {
 	switch kind {
 	case evArrival:
-		s.arrive()
+		s.arrive(payload)
 	case evDeparture:
 		s.depart(payload.(*workload.Job))
 	case evNodeFail:
@@ -215,6 +246,11 @@ func (s *simulation) depart(j *workload.Job) {
 			s.respLocal.Add(r)
 		}
 	}
+	if s.sched != nil {
+		fmt.Fprintf(s.sched, "%d,%d,%s,%.2f,%.2f,%.2f,%s\n",
+			j.ID, j.TotalSize, intsDash(j.Components),
+			j.ArrivalTime, j.StartTime, j.FinishTime, intsDash(j.Placement))
+	}
 	if !s.measuring && s.finished >= s.warmupJobs {
 		s.startMeasuring(now)
 	} else if s.measuring && s.respAll.N() >= int64(s.measureJobs) {
@@ -229,7 +265,11 @@ func (s *simulation) depart(j *workload.Job) {
 		}
 	}
 	s.pol.JobDeparted(s, j)
-	if s.obs.Enabled() {
+	switch {
+	case s.source == backlogRefill:
+		s.refill()
+	case s.source == poissonArrivals && s.obs.Enabled():
+		// Replay samples its queue gauge on arrivals only.
 		s.obs.QueueDepth(s.pol.Queued())
 	}
 }
@@ -307,12 +347,27 @@ func (s *simulation) routeQueue() int {
 	return len(s.routeCDF) - 1
 }
 
-// arrive creates the next job, submits it, and schedules the following
-// arrival. With a shared trace attached, the job's draws come from the
-// trace record instead of the live streams; the job itself is still built
-// in this run's arena.
-func (s *simulation) arrive() {
-	now := s.eng.Now()
+// arrive handles an arrival event. A recorded job (the payload of a
+// replay arrival) only needs its routing draw; otherwise the next job is
+// sampled and the following arrival scheduled.
+func (s *simulation) arrive(payload any) {
+	if s.source == recordedArrivals {
+		j := payload.(*workload.Job)
+		j.Queue = s.routeQueue()
+		s.admit(j)
+		if q := s.pol.Queued(); q > s.maxQueue {
+			s.maxQueue = q
+		}
+		return
+	}
+	s.admit(s.nextJob())
+	s.scheduleArrival()
+}
+
+// nextJob builds the next sampled job in the run's arena. With a shared
+// trace attached, its draws come from the trace record instead of the
+// live streams.
+func (s *simulation) nextJob() *workload.Job {
 	var j *workload.Job
 	if s.cursor != nil {
 		_, total, svc, queue := s.cursor.at(s.traceIdx)
@@ -325,13 +380,11 @@ func (s *simulation) arrive() {
 	}
 	s.nextID++
 	j.ID = s.nextID
-	j.ArrivalTime = now
-	s.obs.Arrival(now, j.ID, j.TotalSize, j.Components, j.Queue)
-	s.inSystem.Add(now, 1)
-	s.pol.Submit(s, j)
-	if s.obs.Enabled() {
-		s.obs.QueueDepth(s.pol.Queued())
-	}
+	return j
+}
+
+// scheduleArrival schedules the next Poisson (or shared-trace) arrival.
+func (s *simulation) scheduleArrival() {
 	if s.cursor != nil {
 		next, _, _, _ := s.cursor.at(s.traceIdx)
 		s.eng.Schedule(next, evArrival, nil)
@@ -340,15 +393,39 @@ func (s *simulation) arrive() {
 	}
 }
 
-// newSimulation wires up a run from its configuration. The caller must
-// have normalized cfg with applyDefaults (Run does).
-func newSimulation(cfg Config) (*simulation, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// refill tops the queue up to backlogDepth jobs, all arriving now.
+func (s *simulation) refill() {
+	for s.pol.Queued() < backlogDepth {
+		s.admit(s.nextJob())
 	}
-	pol, err := buildPolicy(cfg.Policy, len(cfg.ClusterSizes), cfg.Fit, cfg.Lookahead)
-	if err != nil {
-		return nil, err
+}
+
+// admit stamps a job's arrival and hands it to the policy.
+func (s *simulation) admit(j *workload.Job) {
+	now := s.eng.Now()
+	j.ArrivalTime = now
+	s.obs.Arrival(now, j.ID, j.TotalSize, j.Components, j.Queue)
+	s.inSystem.Add(now, 1)
+	s.pol.Submit(s, j)
+	if s.obs.Enabled() {
+		s.obs.QueueDepth(s.pol.Queued())
+	}
+}
+
+// newSimulation wires up a run of a validated configuration and its built
+// policy, drawing its workload from the streams named "<streams>/sizes",
+// "<streams>/services", "<streams>/routing" and so on, into arena. The run
+// starts busy-time and fault accounting at t=0 but schedules no arrival:
+// that and the measurement window are up to the caller.
+func newSimulation(cfg Config, pol policies.Policy, streams string, arena *workload.Arena) (*simulation, error) {
+	tr := cfg.Trace
+	if tr == nil && cfg.TraceProvider != nil {
+		tr = cfg.TraceProvider(cfg.Seed)
+	}
+	if tr != nil {
+		if err := tr.matches(cfg); err != nil {
+			return nil, err
+		}
 	}
 	src := rng.NewSource(cfg.Seed)
 	cdf := routingCDF(cfg.QueueWeights, len(cfg.ClusterSizes))
@@ -363,15 +440,15 @@ func newSimulation(cfg Config) (*simulation, error) {
 		respByClass: make([]stats.Welford, len(SizeClassBounds)),
 		pol:         pol,
 		spec:        cfg.Spec,
-		arena:       arenaPool.Get().(*workload.Arena),
+		arena:       arena,
 		scratch:     policies.NewScratch(len(cfg.ClusterSizes)),
 		arrivalRate: cfg.ArrivalRate,
 		reqType:     cfg.RequestType,
-		arrivals:    src.Stream("core/arrivals"),
-		sizeStream:  src.Stream("core/sizes"),
-		svcStream:   src.Stream("core/services"),
-		routeStream: src.Stream("core/routing"),
-		placeStream: src.Stream("core/placement"),
+		arrivals:    src.Stream(streams + "/arrivals"),
+		sizeStream:  src.Stream(streams + "/sizes"),
+		svcStream:   src.Stream(streams + "/services"),
+		routeStream: src.Stream(streams + "/routing"),
+		placeStream: src.Stream(streams + "/placement"),
 		routeCDF:    cdf,
 		warmupJobs:  cfg.WarmupJobs,
 		measureJobs: cfg.MeasureJobs,
@@ -395,17 +472,7 @@ func newSimulation(cfg Config) (*simulation, error) {
 		// one; aggregates are folded into Result at the end of Run.
 		s.dec = dectrace.New(*cfg.Decisions)
 	}
-	tr := cfg.Trace
-	if tr == nil && cfg.TraceProvider != nil {
-		tr = cfg.TraceProvider(cfg.Seed)
-	}
 	if tr != nil {
-		if cfg.RequestType != workload.Unordered {
-			return nil, fmt.Errorf("core: workload traces support unordered requests, not %s", cfg.RequestType)
-		}
-		if err := tr.matches(cfg); err != nil {
-			return nil, err
-		}
 		s.cursor = newTraceCursor(tr)
 	}
 	s.eng.SetHandler(s.handleEvent)
@@ -423,16 +490,6 @@ func newSimulation(cfg Config) (*simulation, error) {
 			s.dec.SetSink(s.obs.Decision)
 		}
 	}
-	return s, nil
-}
-
-// Run executes one open-system simulation and returns its metrics.
-func Run(cfg Config) (Result, error) {
-	cfg.applyDefaults()
-	s, err := newSimulation(cfg)
-	if err != nil {
-		return Result{}, err
-	}
 	s.busy.StartAt(0, 0)
 	if s.flt != nil {
 		s.availCap.StartAt(0, float64(s.m.TotalAvail()))
@@ -440,6 +497,35 @@ func Run(cfg Config) (Result, error) {
 			s.eng.ScheduleAfter(s.flt.inj.NextFailure(c), evNodeFail, c)
 		}
 	}
+	return s, nil
+}
+
+// recycle resets the run's pooled arena and returns it to the pool. Call
+// it only once the results hold no job handles: every arena allocation is
+// dead.
+func (s *simulation) recycle() {
+	s.arena.Reset()
+	arenaPool.Put(s.arena)
+	s.arena = nil
+}
+
+// Run executes one open-system simulation and returns its metrics:
+// Poisson (or shared-trace) arrivals, measured over MeasureJobs departures
+// after WarmupJobs.
+func Run(cfg Config) (Result, error) {
+	cfg.applyDefaults()
+	pol, err := cfg.check()
+	if err != nil {
+		return Result{}, err
+	}
+	// Replication loops reuse warmed arenas. The one-off runs of Replay
+	// and RunBacklog use a fresh arena that dies with the run: pooling a
+	// log-sized arena would keep it alive across unrelated runs.
+	s, err := newSimulation(cfg, pol, "core", arenaPool.Get().(*workload.Arena))
+	if err != nil {
+		return Result{}, err
+	}
+	defer s.recycle()
 	if s.warmupJobs == 0 {
 		// No warmup: measure from time zero. Without this, measurement
 		// would only begin at the first departure (startMeasuring is
@@ -447,12 +533,7 @@ func Run(cfg Config) (Result, error) {
 		// job and skewing every time-weighted average.
 		s.startMeasuring(0)
 	}
-	if s.cursor != nil {
-		first, _, _, _ := s.cursor.at(0)
-		s.eng.Schedule(first, evArrival, nil)
-	} else {
-		s.eng.ScheduleAfter(s.arrivals.Exp(s.arrivalRate), evArrival, nil)
-	}
+	s.scheduleArrival()
 	s.eng.Run()
 	s.eng.ReportStats()
 
@@ -532,11 +613,6 @@ func Run(cfg Config) (Result, error) {
 		res.TruncatedJobs = cfg.MeasureJobs - res.Jobs
 		s.obs.SaturationCutoff(res.TruncatedJobs)
 	}
-	// The run is over and Result holds no job handles, so every arena
-	// allocation is dead: recycle the blocks for the next run.
-	s.arena.Reset()
-	arenaPool.Put(s.arena)
-	s.arena = nil
 	return res, nil
 }
 

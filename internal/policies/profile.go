@@ -16,7 +16,7 @@ import (
 // vector, and a dead-prefix offset makes trim an O(1) bump with batched
 // physical compaction. cloneInto is two bulk copies, segment splits are a
 // single memmove each, and the minimum scan walks contiguous memory with
-// no per-segment pointer chase. refProfile (refprofile.go) keeps the
+// no per-segment pointer chase. refProfile (refprofile_test.go) keeps the
 // original slice-of-slices implementation as the reference the
 // differential tests compare against.
 //
