@@ -59,8 +59,8 @@ type BacklogResult struct {
 
 // RunBacklog executes a constant-backlog simulation: the simulation of Run
 // fed by refilling the queue to backlogDepth jobs at t=0 and after every
-// departure, measured over the virtual-time window [WarmupTime,
-// WarmupTime+MeasureTime].
+// departure, with busy time and departures measured over the virtual-time
+// window [WarmupTime, WarmupTime+MeasureTime].
 func RunBacklog(bc BacklogConfig) (BacklogResult, error) {
 	bc.applyDefaults()
 	cfg := Config{
@@ -93,12 +93,16 @@ func RunBacklog(bc BacklogConfig) (BacklogResult, error) {
 	s.source = backlogRefill
 	s.refill()
 	s.eng.RunUntil(bc.WarmupTime)
-	s.startMeasuring(s.eng.Now())
+	// Only the busy integral and the departure count are measured. The
+	// per-job response statistics startMeasuring would switch on report
+	// nothing here and cost about a fifth of the run.
+	s.busy.StartAt(s.eng.Now(), float64(s.m.Busy()))
+	warm := s.finished
 	s.eng.RunUntil(bc.WarmupTime + bc.MeasureTime)
 
 	window := s.eng.Now() - bc.WarmupTime
 	gross := s.busy.Average(s.eng.Now()) / float64(s.m.Capacity())
-	jobs := int(s.respAll.N())
+	jobs := s.finished - warm
 	return BacklogResult{
 		Policy:              bc.Policy,
 		MaxGrossUtilization: gross,
