@@ -70,10 +70,10 @@ func RunBacklog(bc BacklogConfig) (BacklogResult, error) {
 		Fit:          bc.Fit,
 		Lookahead:    bc.Lookahead,
 		QueueWeights: bc.QueueWeights,
-		// The window is set by virtual time, never by departure counts.
-		WarmupJobs:  math.MaxInt,
-		MeasureJobs: math.MaxInt,
-		Seed:        bc.Seed,
+		// The window is set by virtual time; no departure count ever
+		// starts the per-job measurement.
+		WarmupJobs: math.MaxInt,
+		Seed:       bc.Seed,
 	}
 	pol, err := cfg.checkShared()
 	if err != nil {
