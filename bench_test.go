@@ -63,19 +63,21 @@ func BenchmarkGrossNetRatio(b *testing.B) { benchExperiment(b, "ratio") }
 
 // BenchmarkFigureWallClock measures the end-to-end wall clock of a
 // saturated-heavy figure sweep — several policy curves whose grids reach
-// deep into saturation, replications per point — under the two sweep
-// regimes:
+// deep into saturation, replications per point — on the figure-level
+// schedule, under the two saturated-point regimes:
 //
-//   - legacy: per-curve scheduling barriers and full-horizon saturated
-//     points (the pre-overhaul behavior);
-//   - overhauled: the figure-level straggler-free schedule with the
-//     deterministic saturation cutoff (the defaults).
+//   - legacy: full-horizon saturated points (saturation cutoff off);
+//   - overhauled: the deterministic saturation cutoff (the presets'
+//     default).
 //
 // The rendered curves are identical between the two (pinned by the
-// schedule/cutoff guardrail tests); only the wall clock differs. This is
-// the benchmark behind the sweep-overhaul record in BENCH_4.json.
+// cutoff guardrail tests); only the wall clock differs. This is the
+// benchmark behind the sweep-overhaul record in BENCH_4.json, whose
+// legacy arm originally also used per-curve scheduling barriers; that
+// schedule is gone, and the cutoff alone accounts for about the same
+// ratio.
 func BenchmarkFigureWallClock(b *testing.B) {
-	run := func(cutoff bool, mode experiments.ScheduleMode) func(*testing.B) {
+	run := func(cutoff bool) func(*testing.B) {
 		return func(b *testing.B) {
 			p := experiments.QuickParams()
 			p.WarmupJobs = 100
@@ -86,12 +88,9 @@ func BenchmarkFigureWallClock(b *testing.B) {
 			// (the paper's usual figure parameterization); GS tops out
 			// near 0.62 gross for all of them, so every point here is far
 			// beyond saturation. These are the points that dominate a
-			// full figure's wall clock: the runs the cutoff truncates and
-			// the stragglers the figure-level schedule stops serializing
-			// behind.
+			// full figure's wall clock: the runs the cutoff truncates.
 			p.Utilizations = []float64{0.9, 0.95}
 			p.SaturationCutoff = cutoff
-			p.Schedule = mode
 			env := experiments.NewEnv(p)
 			specs := []experiments.CurveSpec{
 				{Label: "GS-16", Policy: "GS", ClusterSizes: experiments.MulticlusterSizes, Spec: env.MultiSpec(16, env.Derived.Sizes128)},
@@ -110,8 +109,8 @@ func BenchmarkFigureWallClock(b *testing.B) {
 			}
 		}
 	}
-	b.Run("legacy", run(false, experiments.SchedulePerCurve))
-	b.Run("overhauled", run(true, experiments.ScheduleFigure))
+	b.Run("legacy", run(false))
+	b.Run("overhauled", run(true))
 }
 
 // --- ablations -------------------------------------------------------------

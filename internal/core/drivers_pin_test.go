@@ -136,6 +136,6 @@ backlog Policy=LP MaxGrossUtilization=0.5924048809224433 MaxNetUtilization=0.486
 backlog Policy=GS-CONS MaxGrossUtilization=0.8965199010273888 MaxNetUtilization=0.7357268185768706 Throughput=0.037775 Jobs=1511
 backlog unbalanced Policy=LS MaxGrossUtilization=0.5074225696281742 MaxNetUtilization=0.43341202478509844 Throughput=0.021025 Jobs=841
 trace 5713f535e92f1b1979b394a53e7c5bb2b7b7f376a9c53dbd785848f2566ba5c0
-metrics a7e46286a2fe6ffa00806d6920fee02672efbf638e568f639a63aec8b1dfca34
+metrics 6843144938b2bec89c45589c7cbe15409538e786b29da9d1439047c6f4e6fbee
 schedule 58c3894120e6e6e2de63a69ae5f5b47682e960b80f9ef98b21c591aecba998ed
 `

@@ -23,14 +23,15 @@ func stripElisionLines(s string) string {
 	return strings.Join(kept, "\n")
 }
 
-// TestElisionEndToEndGuardrail pins the pass-elision machinery (the EASY
-// stuck-head watermark and the conservative retained reservations with
-// prefix repair) bit-identical across whole simulations: for every policy
-// family, with and without fault injection, runs with elision on and off
-// must produce equal Results, byte-identical JSONL traces, and identical
-// metrics up to the elision counters themselves. This is the end-to-end
-// statement of the policy-level equivalence tests, and the fault cases
-// additionally cover kills and capacity changes arriving between passes.
+// TestElisionEndToEndGuardrail pins GS-CONS's retained reservations (the
+// fast pass and its prefix repair) bit-identical across whole simulations,
+// with and without fault injection: runs with elision on and off must
+// produce equal Results, byte-identical JSONL traces, and identical metrics
+// up to the elision counters themselves. This is the end-to-end statement
+// of the policy-level equivalence tests, and the fault cases additionally
+// cover kills and capacity changes arriving between passes. GS-CONS is the
+// only policy that elides passes: every other policy runs its plain pass
+// on every event, so its metrics must never report a skipped one.
 func TestElisionEndToEndGuardrail(t *testing.T) {
 	specs := map[string]*faults.Spec{
 		"faultfree":   nil,
@@ -41,6 +42,13 @@ func TestElisionEndToEndGuardrail(t *testing.T) {
 		for label, fs := range specs {
 			t.Run(policy+"/"+label, func(t *testing.T) {
 				cfg := faultTestConfig(t, policy, fs)
+				if policy != "GS-CONS" {
+					_, _, metrics := runObserved(t, cfg, 0.6)
+					if strings.Contains(metrics, "sched.passes_skipped") {
+						t.Errorf("%s skipped a scheduling pass:\n%s", policy, metrics)
+					}
+					return
+				}
 				prev := policies.SetPassElision(false)
 				resOff, traceOff, metricsOff := runObserved(t, cfg, 0.6)
 				policies.SetPassElision(true)

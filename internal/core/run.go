@@ -8,7 +8,6 @@ import (
 
 	"coalloc/internal/cluster"
 	"coalloc/internal/dectrace"
-	"coalloc/internal/dist"
 	"coalloc/internal/obs"
 	"coalloc/internal/policies"
 	"coalloc/internal/rng"
@@ -418,8 +417,8 @@ func (s *simulation) admit(j *workload.Job) {
 // starts busy-time and fault accounting at t=0 but schedules no arrival:
 // that and the measurement window are up to the caller.
 func newSimulation(cfg Config, pol policies.Policy, streams string, arena *workload.Arena) (*simulation, error) {
-	tr := cfg.Trace
-	if tr == nil && cfg.TraceProvider != nil {
+	var tr *Trace
+	if cfg.TraceProvider != nil {
 		tr = cfg.TraceProvider(cfg.Seed)
 	}
 	if tr != nil {
@@ -787,28 +786,4 @@ func mergeReplications(results []Result) Result {
 	merged.Saturated = saturated
 	merged.SimTime = simTime
 	return merged
-}
-
-// Sanity helpers -------------------------------------------------------------
-
-// MM1Response returns the analytic M/M/1 mean response time for arrival
-// rate lambda and service rate mu — used by the integration tests to
-// validate the whole pipeline on a degenerate configuration (one cluster,
-// one processor, unit-size jobs, exponential service).
-func MM1Response(lambda, mu float64) float64 {
-	if lambda >= mu {
-		return math.Inf(1)
-	}
-	return 1 / (mu - lambda)
-}
-
-// ExpService returns a workload spec for such a degenerate M/M/1 system.
-func ExpService(mu float64) workload.Spec {
-	return workload.Spec{
-		Sizes:           dist.NewEmpiricalInt([]int{1}, []float64{1}),
-		Service:         dist.NewExponential(mu),
-		ComponentLimit:  1,
-		Clusters:        1,
-		ExtensionFactor: 1,
-	}
 }

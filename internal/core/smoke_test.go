@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"coalloc/internal/dist"
 	"coalloc/internal/workload"
 )
 
@@ -105,4 +106,26 @@ func TestBacklogSmoke(t *testing.T) {
 	}
 	t.Logf("GS backlog: gross=%.3f net=%.3f thru=%.4f jobs=%d",
 		res.MaxGrossUtilization, res.MaxNetUtilization, res.Throughput, res.Jobs)
+}
+
+// MM1Response returns the analytic M/M/1 mean response time for arrival
+// rate lambda and service rate mu — the oracle the integration tests use
+// to validate the whole pipeline on a degenerate configuration (one
+// cluster, one processor, unit-size jobs, exponential service).
+func MM1Response(lambda, mu float64) float64 {
+	if lambda >= mu {
+		return math.Inf(1)
+	}
+	return 1 / (mu - lambda)
+}
+
+// ExpService returns a workload spec for such a degenerate M/M/1 system.
+func ExpService(mu float64) workload.Spec {
+	return workload.Spec{
+		Sizes:           dist.NewEmpiricalInt([]int{1}, []float64{1}),
+		Service:         dist.NewExponential(mu),
+		ComponentLimit:  1,
+		Clusters:        1,
+		ExtensionFactor: 1,
+	}
 }

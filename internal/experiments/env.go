@@ -57,11 +57,6 @@ type Params struct {
 	// cheaper; non-saturated points are bit-identical either way. Both
 	// parameter presets enable it.
 	SaturationCutoff bool
-	// Schedule selects how sweep points are laid out on the worker pool
-	// (see ScheduleMode); the zero value is the straggler-free
-	// figure-level schedule. The rendered output is byte-identical
-	// across modes.
-	Schedule ScheduleMode
 	// Utilizations is the gross-utilization sweep grid for the
 	// response-time curves.
 	Utilizations []float64
@@ -103,13 +98,6 @@ type Params struct {
 	// core.Config.Lookahead; 0 = the default 32, explicit values must be
 	// >= 1).
 	Lookahead int
-	// PerPolicyWorkload disables the shared workload trace: each policy
-	// run then regenerates its jobs from the random streams instead of
-	// replaying the per-(seed, utilization) record. The results are
-	// bit-identical either way (the trace generator mirrors the live
-	// sampler draw for draw — pinned by the sweep guardrail test), so
-	// this exists as an ablation/debugging switch, not a fidelity knob.
-	PerPolicyWorkload bool
 	// Decisions, when non-nil, enables decision tracing (core
 	// Config.Decisions) for every sweep run: regret aggregates land in
 	// each point's Result. The regret experiment forces this on for its
@@ -224,7 +212,7 @@ func (e *Env) curveJobs(specs []CurveSpec) []curveJob {
 }
 
 // CurveSet sweeps the utilization grid for several configurations as one
-// scheduling unit (see ScheduleMode) and returns each curve's raw results
+// scheduling unit (see sweepSet) and returns each curve's raw results
 // in grid order, ending at the curve's first saturated point.
 func (e *Env) CurveSet(specs []CurveSpec) ([][]core.Result, error) {
 	return e.sweepSet(e.curveJobs(specs))
@@ -278,22 +266,6 @@ func (e *Env) Curve(cs CurveSpec) (plot.Series, error) {
 	return out[0], nil
 }
 
-// CurveNet is like Curve but returns two series over the same runs: the
-// response time against the measured gross utilization and against the
-// measured net utilization (for Fig. 7).
-func (e *Env) CurveNet(cs CurveSpec) (gross, net plot.Series, err error) {
-	gross = plot.Series{Name: cs.Label + " gross"}
-	net = plot.Series{Name: cs.Label + " net"}
-	results, err := e.sweep(cs.Label, e.Utilizations, func(u float64) (core.Result, error) {
-		return e.point(cs, u)
-	})
-	if err != nil {
-		return gross, net, err
-	}
-	gross, net = e.netSeries(cs.Label, results)
-	return gross, net, nil
-}
-
 // netSeries renders one curve's results into the gross- and
 // net-utilization series of Fig. 7.
 func (e *Env) netSeries(label string, results []core.Result) (gross, net plot.Series) {
@@ -343,7 +315,7 @@ func (e *Env) runPoint(cfg core.Config) (core.Result, error) {
 }
 
 // pointConfig builds the run configuration of one sweep point, with the
-// shared workload trace attached when enabled.
+// shared workload trace attached for unordered requests.
 func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 	var capacity int
 	for _, s := range cs.ClusterSizes {
@@ -364,7 +336,7 @@ func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 		SaturationCutoff: e.SaturationCutoff,
 		Decisions:        e.Decisions,
 	}
-	if !e.PerPolicyWorkload && cfg.RequestType == workload.Unordered {
+	if cfg.RequestType == workload.Unordered {
 		cfg.TraceProvider = e.traces.provider(cfg)
 	}
 	return cfg

@@ -226,6 +226,16 @@ func TestBalanceName(t *testing.T) {
 	}
 }
 
+// runPoints runs fn over the grid of a single curve on the shared
+// workpool and returns results in grid order — runSet for one curve.
+func runPoints(grid []float64, fn func(util float64) (core.Result, error)) ([]core.Result, error) {
+	out, err := runSet([]curveJob{{grid: grid, fn: fn}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 func TestRunPointsOrderAndErrors(t *testing.T) {
 	env := NewEnv(tinyParams())
 	cs := CurveSpec{
@@ -405,15 +415,16 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 
 // TestSweepSharedTraceMatchesPerPolicy is the sweep-level common-random-
 // numbers guardrail: running the standard policy curves against the shared
-// per-point workload traces must produce exactly the curves of the
-// per-policy generation path (PerPolicyWorkload). Both modes feed every
-// run the same draws; only where the draws happen differs.
+// per-point workload traces must produce exactly the curves of per-policy
+// live sampling (each point's configuration with its TraceProvider
+// cleared). Both feed every run the same draws; only where the draws
+// happen differs.
 func TestSweepSharedTraceMatchesPerPolicy(t *testing.T) {
 	p := tinyParams()
 	p.Utilizations = []float64{0.3, 0.5}
 	p.Replications = 2
 
-	curves := func(env *Env) []plot.Series {
+	curves := func(env *Env, live bool) []plot.Series {
 		spec := env.MultiSpec(16, env.Derived.Sizes128)
 		var out []plot.Series
 		for _, cs := range []CurveSpec{
@@ -423,18 +434,37 @@ func TestSweepSharedTraceMatchesPerPolicy(t *testing.T) {
 			{Label: "LS-unbal", Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec,
 				QueueWeights: core.Unbalanced(len(MulticlusterSizes))},
 		} {
-			s, err := env.Curve(cs)
-			if err != nil {
-				t.Fatalf("%s: %v", cs.Label, err)
+			if !live {
+				s, err := env.Curve(cs)
+				if err != nil {
+					t.Fatalf("%s: %v", cs.Label, err)
+				}
+				out = append(out, s)
+				continue
 			}
-			out = append(out, s)
+			var results []core.Result
+			for _, u := range env.Utilizations {
+				cfg := env.pointConfig(cs, u)
+				if cfg.TraceProvider == nil {
+					t.Fatalf("%s: sweep point has no shared trace; the comparison is vacuous", cs.Label)
+				}
+				cfg.TraceProvider = nil
+				res, err := env.runPoint(cfg)
+				if err != nil {
+					t.Fatalf("%s live: %v", cs.Label, err)
+				}
+				results = append(results, res)
+				if res.Saturated {
+					break
+				}
+			}
+			out = append(out, env.series(cs.Label, results))
 		}
 		return out
 	}
 
-	shared := curves(NewEnv(p))
-	p.PerPolicyWorkload = true
-	pergen := curves(NewEnv(p))
+	shared := curves(NewEnv(p), false)
+	pergen := curves(NewEnv(p), true)
 
 	for ci := range shared {
 		a, b := shared[ci], pergen[ci]

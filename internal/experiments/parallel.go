@@ -18,29 +18,6 @@ import (
 // saturated (or failed) point, exactly as a serial sweep would, because
 // results are consumed per curve in grid order.
 
-// ScheduleMode selects how the points of an experiment are laid out on the
-// shared worker pool.
-type ScheduleMode int
-
-const (
-	// ScheduleFigure — the default — enumerates every (curve, point)
-	// task of a figure up front and claims the expected-longest points
-	// first (descending grid index: the grids are ordered from cheap to
-	// expensive, low utilization to high, low failure rate to high), so
-	// no per-curve barrier ever leaves the pool idle behind one straggler
-	// curve. The merge consumes results per curve in grid order, so the
-	// rendered output is byte-identical to the serial schedule — pinned
-	// by a guardrail test.
-	ScheduleFigure ScheduleMode = iota
-	// SchedulePerCurve restores the pre-overhaul behavior: one parallel
-	// sweep per curve, with a barrier between curves.
-	SchedulePerCurve
-	// ScheduleSerial runs every point serially in grid order. An
-	// attached Observer forces this mode: an Observer — and its trace —
-	// is single-threaded.
-	ScheduleSerial
-)
-
 // curveJob is one curve's worth of sweep points: a labelled grid and the
 // function that runs one point.
 type curveJob struct {
@@ -185,70 +162,45 @@ func runSet(jobs []curveJob, prog *progress) ([][]core.Result, error) {
 	return out, nil
 }
 
-// runPoints runs fn over the grid of a single curve on the shared
-// workpool and returns results in grid order — runSet for one curve.
-func runPoints(grid []float64, fn func(util float64) (core.Result, error)) ([]core.Result, error) {
-	out, err := runSet([]curveJob{{grid: grid, fn: fn}}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// sweepSet runs a set of curves under the environment's schedule mode and
-// returns each curve's results in grid order. The three modes produce
-// identical result sets — the scheduler only changes completion order,
-// and the merge consumes in grid order regardless — so the rendered
-// figures are byte-identical across modes (pinned by a guardrail test).
+// sweepSet runs a set of curves and returns each curve's results in grid
+// order. Normally that is runSet's figure-level schedule on the shared
+// workpool; an attached Observer — single-threaded, like its trace —
+// instead runs every point serially in grid order. Both produce identical
+// result sets (the scheduler only changes completion order, and runSet
+// merges in grid order), so the rendered figures are byte-identical
+// either way — pinned by a guardrail test.
 func (e *Env) sweepSet(jobs []curveJob) ([][]core.Result, error) {
-	mode := e.Schedule
-	if e.Observer != nil {
-		mode = ScheduleSerial
-	}
-	switch mode {
-	case ScheduleSerial:
-		out := make([][]core.Result, len(jobs))
-		for c := range jobs {
-			job := &jobs[c]
-			prog := newProgress(e.Progress, len(job.grid))
-			for i, u := range job.grid {
-				res, err := job.fn(u)
-				if err != nil {
-					prog.point(job.label, u, res, err)
-					return nil, err
-				}
-				if res.Saturated {
-					prog.skip(len(job.grid) - i - 1)
-				}
-				prog.point(job.label, u, res, err)
-				out[c] = append(out[c], res)
-				if res.Saturated {
-					break
-				}
-			}
-		}
-		return out, nil
-	case SchedulePerCurve:
-		out := make([][]core.Result, len(jobs))
-		for c := range jobs {
-			one, err := runSet(jobs[c:c+1], newProgress(e.Progress, len(jobs[c].grid)))
-			if err != nil {
-				return nil, err
-			}
-			out[c] = one[0]
-		}
-		return out, nil
-	default: // ScheduleFigure
+	if e.Observer == nil {
 		total := 0
 		for c := range jobs {
 			total += len(jobs[c].grid)
 		}
 		return runSet(jobs, newProgress(e.Progress, total))
 	}
+	out := make([][]core.Result, len(jobs))
+	for c := range jobs {
+		job := &jobs[c]
+		prog := newProgress(e.Progress, len(job.grid))
+		for i, u := range job.grid {
+			res, err := job.fn(u)
+			if err != nil {
+				prog.point(job.label, u, res, err)
+				return nil, err
+			}
+			if res.Saturated {
+				prog.skip(len(job.grid) - i - 1)
+			}
+			prog.point(job.label, u, res, err)
+			out[c] = append(out[c], res)
+			if res.Saturated {
+				break
+			}
+		}
+	}
+	return out, nil
 }
 
-// sweep runs one labelled curve sweep over the grid under the
-// environment's schedule mode.
+// sweep runs one labelled curve sweep over the grid.
 func (e *Env) sweep(label string, grid []float64, fn func(util float64) (core.Result, error)) ([]core.Result, error) {
 	out, err := e.sweepSet([]curveJob{{label: label, grid: grid, fn: fn}})
 	if err != nil {

@@ -202,10 +202,11 @@ func (o *Observer) BackfillAttempts(n int) {
 	o.bfAttempts.Add(uint64(n))
 }
 
-// PassSkipped records a scheduling pass elided as a provable no-op. The
-// pass still counts under sched.passes — the compensation keeps every
-// pre-existing counter identical to a non-eliding run — and the skip is
-// additionally recorded under sched.passes_skipped.
+// PassSkipped records a full scheduling pass elided by GS-CONS's retained
+// reservations, the only policy that elides. The pass still counts under
+// sched.passes — the compensation keeps every pre-existing counter
+// identical to a non-eliding run — and the skip is additionally recorded
+// under sched.passes_skipped.
 func (o *Observer) PassSkipped() {
 	if o == nil {
 		return

@@ -120,6 +120,27 @@ func NewSCConservative(lookahead int) *Conservative {
 // Name returns "GS-CONS" or "SC-CONS".
 func (p *Conservative) Name() string { return p.name }
 
+// elidePasses gates GS-CONS's retained reservations: with it on, Submit
+// and JobDeparted try the fast pass and the prefix repair before falling
+// back to the full pass, recording each avoided full pass under
+// sched.passes_skipped (and each repair under sched.passes_repaired).
+// Every other policy always runs its plain pass.
+//
+// The switch exists for the equivalence, lockstep and profile tests, which
+// run the same streams with it on and off and require bit-identical
+// dispatches, traces and metrics (modulo those two counters), or need
+// full passes only. It is read-only during a run; tests flip it serially.
+var elidePasses = true
+
+// SetPassElision toggles GS-CONS's retained-reservation fast path and
+// returns the previous setting. It is not safe to call concurrently with
+// running simulations.
+func SetPassElision(enabled bool) bool {
+	prev := elidePasses
+	elidePasses = enabled
+	return prev
+}
+
 // Submit enqueues the job and runs a scheduling pass. With retained
 // reservations the common case is the fast pass: existing reservations are
 // unchanged (no capacity event since the last pass), so only the newcomer

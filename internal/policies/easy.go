@@ -38,16 +38,6 @@ type EASY struct {
 	scrPlace  []int
 	scrShadow []int // idle vector at the head's shadow time
 	scrTmp    []int
-
-	// stuck is the pass-elision watermark: the head can never fit (its
-	// reservation is +Inf even with every running job released). Such a
-	// head blocks the queue until capacity grows — no release or failure
-	// raises the up capacity, and EASY backfills nothing behind an
-	// unreservable head — so every later pass is a provable no-op. The one
-	// event that can unstick the head is a repair: CapacityRestored runs a
-	// full pass, which re-derives the watermark against the restored
-	// capacity (pass clears it on entry).
-	stuck bool
 }
 
 // runInfo tracks one running job for reservation arithmetic.
@@ -71,10 +61,6 @@ func (p *EASY) Name() string { return p.name }
 func (p *EASY) Submit(ctx Ctx, j *workload.Job) {
 	j.Queue = workload.GlobalQueue
 	p.q.Push(j)
-	if elidePasses && p.stuck {
-		p.elidedPass(ctx)
-		return
-	}
 	p.pass(ctx)
 }
 
@@ -87,19 +73,13 @@ func (p *EASY) JobDeparted(ctx Ctx, j *workload.Job) {
 			break
 		}
 	}
-	if elidePasses && p.stuck {
-		p.elidedPass(ctx)
-		return
-	}
 	p.pass(ctx)
 }
 
 // JobKilled removes the aborted victim from the running set and runs a
-// full pass over the released processors (policies.FaultAware). The kill
-// shrank cluster c's capacity by one, which keeps a stuck watermark valid
-// — the head fits even less than before — but the reservation arithmetic
-// holds no state beyond the running set, so removal plus a pass is the
-// whole repair.
+// pass over the released processors (policies.FaultAware). The
+// reservation arithmetic holds no state beyond the running set, so
+// removal plus a pass is the whole repair.
 func (p *EASY) JobKilled(ctx Ctx, victim *workload.Job, _ int) {
 	for i := range p.running {
 		if p.running[i].job == victim {
@@ -114,25 +94,12 @@ func (p *EASY) JobKilled(ctx Ctx, victim *workload.Job, _ int) {
 // CapacityLost is a no-op (policies.FaultAware): EASY derives every
 // reservation from the live idle vector and the running set, so a silent
 // failure needs no state repair, and the shrink can admit nothing —
-// placement is monotone in the idle vector. A stuck watermark stays valid
-// for the same reason.
+// placement is monotone in the idle vector.
 func (p *EASY) CapacityLost(Ctx, int) {}
 
-// CapacityRestored runs a full pass (policies.FaultAware): the repaired
-// processor may admit the head or a backfill candidate, and — unlike every
-// other event — it raises the up capacity, so the pass re-derives the
-// stuck watermark from scratch.
+// CapacityRestored runs a pass (policies.FaultAware): the repaired
+// processor may admit the head or a backfill candidate.
 func (p *EASY) CapacityRestored(ctx Ctx, _ int) { p.pass(ctx) }
-
-// elidedPass emits the counters a full pass over a forever-stuck head
-// would: the pass, the head miss, and then the +Inf reservation returns
-// before any backfill attempt.
-func (p *EASY) elidedPass(ctx Ctx) {
-	o := ctx.Obs()
-	o.Pass()
-	o.HeadMiss(workload.GlobalQueue)
-	o.PassSkipped()
-}
 
 // start dispatches a job and inserts it into the running set in
 // finish-time order, so earliestFit never needs to sort. The runInfo
@@ -159,12 +126,6 @@ func (p *EASY) pass(ctx Ctx) {
 	o := ctx.Obs()
 	s := ctx.Scratch()
 	o.Pass()
-	// Re-derive the stuck watermark from scratch: a pass that drains the
-	// queue or reserves a finite start leaves it clear, and phase 2 sets it
-	// again when the head still can never fit. Fault-free this cannot flip
-	// a true watermark back (capacity never grows), but after a repair the
-	// stale verdict must not survive the pass.
-	p.stuck = false
 	// Phase 1: plain FCFS starts from the head.
 	for {
 		head := p.q.Head()
@@ -183,9 +144,9 @@ func (p *EASY) pass(ctx Ctx) {
 	head := p.q.Head()
 	shadow := p.earliestFit(m, head.Components, ctx.Now(), p.fit)
 	if math.IsInf(shadow, 1) {
-		// The head can never fit (a component exceeds every cluster);
-		// it blocks the queue forever, exactly as plain FCFS would.
-		p.stuck = true
+		// The head can never fit (a component exceeds the up capacity of
+		// every cluster); it blocks the queue, exactly as plain FCFS
+		// would, until a repair raises the up capacity.
 		return
 	}
 	if dt := ctx.Dec(); dt != nil {

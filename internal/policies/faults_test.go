@@ -299,32 +299,31 @@ func TestEASYJobKilledReleasesVictim(t *testing.T) {
 	}
 }
 
-// TestEASYStuckHeadUnsticksOnRepair pins the stuck-watermark lifecycle
-// under faults: a head exceeding the post-failure up capacity sets the
-// watermark, elided passes preserve it (and FCFS semantics), and the
-// repair's full pass re-derives it against the restored capacity and
-// starts the head.
+// TestEASYStuckHeadUnsticksOnRepair pins EASY's behaviour around a head
+// wider than the up capacity: it holds no reservation, so nothing starts
+// behind it — not on a later arrival, not on a departure that frees room
+// for the job behind it — and the repair's pass starts the head.
 func TestEASYStuckHeadUnsticksOnRepair(t *testing.T) {
-	defer SetPassElision(SetPassElision(true))
 	ctx := newMockCtx(8)
 	p := NewSCEASY()
+	j0 := svcJob(1, 10, 2)
+	p.Submit(ctx, j0)
+	wantIDs(t, ctx.ids(), 1)
 	ctx.m.Fail(0)
-	p.CapacityLost(ctx, 0) // capacity 7
+	p.CapacityLost(ctx, 0) // capacity 7, 5 idle
 
-	p.Submit(ctx, svcJob(1, 10, 8))
-	if !p.stuck {
-		t.Fatal("head exceeding the up capacity did not set the stuck watermark")
-	}
-	p.Submit(ctx, svcJob(2, 10, 4))
-	wantIDs(t, ctx.ids()) // nothing starts behind an unreservable head
-	if !p.stuck {
-		t.Fatal("elided pass cleared the watermark")
-	}
+	p.Submit(ctx, svcJob(2, 10, 8)) // wider than the up capacity
+	p.Submit(ctx, svcJob(3, 10, 4)) // fits the idle processors
+	wantIDs(t, ctx.ids(), 1)        // nothing starts behind an unreservable head
+
+	ctx.now = 10
+	ctx.finish(p, j0) // 7 idle: job 3 fits, the head still does not
+	wantIDs(t, ctx.ids(), 1)
 
 	ctx.m.Repair(0)
 	p.CapacityRestored(ctx, 0)
-	wantIDs(t, ctx.ids(), 1)
-	if p.stuck {
-		t.Error("watermark survived the pass that started the head")
+	wantIDs(t, ctx.ids(), 1, 2)
+	if p.Queued() != 1 {
+		t.Errorf("queued %d after the repair, want 1 (job 3 behind the started head)", p.Queued())
 	}
 }

@@ -16,11 +16,6 @@ type GS struct {
 	name string
 	q    queues.FIFO
 	fit  cluster.Fit
-	// blocked is the pass-elision watermark: the last pass ended on a
-	// head miss. Until capacity changes — and every departure, repair and
-	// kill runs a full pass that recomputes it — the same head fails the
-	// same deterministic placement, so a Submit pass is a provable no-op.
-	blocked bool
 }
 
 // NewGS returns the GS policy with the given placement rule (the paper
@@ -35,19 +30,10 @@ func NewSC() *GS { return &GS{name: "SC", fit: cluster.WorstFit} }
 // Name returns "GS" or "SC".
 func (p *GS) Name() string { return p.name }
 
-// Submit enqueues the job at the global queue and runs a scheduling pass,
-// skipping it (with the head miss the unchanged head would re-emit
-// compensated) when the head was already blocked and nothing released.
+// Submit enqueues the job at the global queue and runs a scheduling pass.
 func (p *GS) Submit(ctx Ctx, j *workload.Job) {
 	j.Queue = workload.GlobalQueue
 	p.q.Push(j)
-	if elidePasses && p.blocked {
-		o := ctx.Obs()
-		o.Pass()
-		o.HeadMiss(workload.GlobalQueue)
-		o.PassSkipped()
-		return
-	}
 	p.pass(ctx)
 }
 
@@ -73,7 +59,6 @@ func (p *GS) pass(ctx Ctx) {
 	o := ctx.Obs()
 	s := ctx.Scratch()
 	o.Pass()
-	p.blocked = false
 	for {
 		head := p.q.Head()
 		if head == nil {
@@ -83,7 +68,6 @@ func (p *GS) pass(ctx Ctx) {
 		if !ok {
 			o.HeadMiss(workload.GlobalQueue)
 			ctx.Dec().HeadMiss(ctx.Now(), head, m, p.fit)
-			p.blocked = true
 			return
 		}
 		p.q.Pop()

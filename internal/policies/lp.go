@@ -52,30 +52,14 @@ func (p *LP) SetObserver(o *obs.Observer) { p.set.SetObserver(o) }
 // Submit routes multi-component jobs to the global queue and
 // single-component jobs to their local queue, then runs a scheduling pass.
 func (p *LP) Submit(ctx Ctx, j *workload.Job) {
-	// Pass elision: a pass leaves every enabled local queue empty, and an
-	// enabled, eligible global queue empty too (a nonempty visited head
-	// either starts or disables its queue); between passes only pushes
-	// happen, so eligibility (some local queue empty) can only shrink. A
-	// job landing in a disabled queue — or in a global queue the local
-	// priority keeps ineligible — is therefore invisible to its pass:
-	// nothing can start, a provable no-op.
-	elide := false
 	if j.Multi() {
 		j.Queue = workload.GlobalQueue
 		p.global.Push(j)
-		elide = !p.globalEnabled || !p.anyLocalEmpty()
 	} else {
 		if j.Queue < 0 || j.Queue >= len(p.locals) {
 			panic(fmt.Sprintf("policies: LP job %d routed to queue %d of %d", j.ID, j.Queue, len(p.locals)))
 		}
 		p.locals[j.Queue].Push(j)
-		elide = !p.set.IsEnabled(j.Queue)
-	}
-	if elidePasses && elide {
-		o := ctx.Obs()
-		o.Pass()
-		o.PassSkipped()
-		return
 	}
 	p.pass(ctx)
 }

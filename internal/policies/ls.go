@@ -63,17 +63,6 @@ func (p *LS) Submit(ctx Ctx, j *workload.Job) {
 		panic(fmt.Sprintf("policies: LS job %d routed to queue %d of %d", j.ID, j.Queue, len(p.qs)))
 	}
 	p.qs[j.Queue].Push(j)
-	// A pass leaves every enabled queue empty (a nonempty enabled head
-	// either started or disabled its queue), and only pushes happen
-	// between passes. A job landing in a disabled queue is therefore
-	// invisible to its pass: every visited queue is empty, nothing can
-	// start — a provable no-op, elided.
-	if elidePasses && !p.set.IsEnabled(j.Queue) {
-		o := ctx.Obs()
-		o.Pass()
-		o.PassSkipped()
-		return
-	}
 	p.pass(ctx)
 }
 

@@ -22,11 +22,6 @@ import (
 type SPF struct {
 	jobs []*workload.Job // kept sorted by ascending service time
 	fit  cluster.Fit
-	// blocked is the pass-elision watermark: the last pass ended on a
-	// head miss. A Submit that inserts behind the head cannot unblock it
-	// (capacity is unchanged; departures and fault events run full
-	// passes), so its pass is a provable no-op.
-	blocked bool
 }
 
 // NewSPF returns the shortest-processing-first global scheduler.
@@ -47,13 +42,6 @@ func (p *SPF) Submit(ctx Ctx, j *workload.Job) {
 	p.jobs = append(p.jobs, nil)
 	copy(p.jobs[i+1:], p.jobs[i:])
 	p.jobs[i] = j
-	if elidePasses && p.blocked && i > 0 {
-		o := ctx.Obs()
-		o.Pass()
-		o.HeadMiss(workload.GlobalQueue)
-		o.PassSkipped()
-		return
-	}
 	p.pass(ctx)
 }
 
@@ -77,13 +65,11 @@ func (p *SPF) pass(ctx Ctx) {
 	o := ctx.Obs()
 	s := ctx.Scratch()
 	o.Pass()
-	p.blocked = false
 	for len(p.jobs) > 0 {
 		head := p.jobs[0]
 		if !m.PlaceInto(head.Components, p.fit, s.Place, s.Used) {
 			o.HeadMiss(workload.GlobalQueue)
 			ctx.Dec().HeadMiss(ctx.Now(), head, m, p.fit)
-			p.blocked = true
 			return
 		}
 		p.jobs = p.jobs[1:]
