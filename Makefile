@@ -29,11 +29,10 @@ test:
 
 # lint runs go vet plus the detlint static-analysis suite: the
 # syntactic determinism and pooling invariants (nowallclock,
-# noglobalrand, nomaprange, eventretain, jobretain), their
-# interprocedural closures over the whole-module call graph (taintflow,
-# handleflow, scratchescape), discarded Close/Flush errors (closecheck),
-# the //detlint:noalloc compiler escape gate (noalloc), and dead
-# suppression directives (stalesuppress). `go run ./cmd/mclint -help`
+# noglobalrand, nomaprange, eventretain, jobretain), the handle-retention
+# closure over the whole-module call graph (handleflow), discarded
+# Close/Flush errors (closecheck), the //detlint:noalloc compiler escape
+# gate (noalloc), and dead suppression directives (stalesuppress). `go run ./cmd/mclint -help`
 # prints the rule catalog; `-json` emits findings for tooling.
 lint:
 	$(GO) vet ./...

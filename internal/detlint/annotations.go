@@ -8,23 +8,17 @@ import (
 	"strings"
 )
 
-// Function annotations extend the rule set with facts the analyzers
-// cannot infer:
+// The one function annotation extends the rule set with a fact the
+// analyzers cannot infer:
 //
 //	//detlint:noalloc — the function body must not heap-allocate; the
 //	  noalloc analyzer verifies it against `go build -gcflags=-m` output.
-//	//detlint:scratch — the function returns pass-scoped scratch storage
-//	  (the profile returns its retained arrays); scratchescape tracks its
-//	  results exactly like slices pulled from policies.Ctx.Scratch().
 //
-// An annotation goes in the function's doc comment (a comment group
+// The annotation goes in the function's doc comment (a comment group
 // directly above the declaration). Anywhere else it silently does
 // nothing, so a floating annotation is reported under the pseudo-rule
 // "detlint".
-const (
-	noallocDirective = "detlint:noalloc"
-	scratchDirective = "detlint:scratch"
-)
+const noallocDirective = "detlint:noalloc"
 
 // annotation records one annotated function.
 type annotation struct {
@@ -34,22 +28,13 @@ type annotation struct {
 	pos  token.Position // position of the directive comment
 }
 
-type annotations struct {
-	noalloc []*annotation // deterministic collection order
-	scratch map[*types.Func]bool
-}
-
-// collectAnnotations scans every loaded package (facts must cover call
-// chains through non-target packages) and returns malformed-annotation
-// findings for the target packages.
+// collectAnnotations records the annotated functions of the target
+// packages and returns the malformed-annotation findings among them.
+// Only target packages report noalloc findings, so only they are probed.
 func collectAnnotations(mod *Module, targets []*Package) []Finding {
-	ann := &annotations{scratch: make(map[*types.Func]bool)}
-	target := make(map[*Package]bool, len(targets))
-	for _, pkg := range targets {
-		target[pkg] = true
-	}
+	var noalloc []*annotation // deterministic collection order
 	var bad []Finding
-	for _, pkg := range mod.allPackages() {
+	for _, pkg := range targets {
 		for _, file := range pkg.Files {
 			attached := make(map[*ast.Comment]bool)
 			for _, decl := range file.Decls {
@@ -58,8 +43,7 @@ func collectAnnotations(mod *Module, targets []*Package) []Finding {
 					continue
 				}
 				for _, c := range fd.Doc.List {
-					kind, ok := annotationKind(c)
-					if !ok {
+					if !isNoallocAnnotation(c) {
 						continue
 					}
 					attached[c] = true
@@ -68,53 +52,31 @@ func collectAnnotations(mod *Module, targets []*Package) []Finding {
 					if fn == nil {
 						continue
 					}
-					switch kind {
-					case noallocDirective:
-						if fd.Body == nil {
-							if target[pkg] {
-								bad = append(bad, Finding{Rule: "detlint", Pos: pos,
-									Msg: fmt.Sprintf("//%s on a bodyless declaration; the escape gate needs a Go body", kind)})
-							}
-							continue
-						}
-						ann.noalloc = append(ann.noalloc, &annotation{fn: fn, decl: fd, pkg: pkg, pos: pos})
-					case scratchDirective:
-						if fd.Type.Results == nil || len(fd.Type.Results.List) == 0 {
-							if target[pkg] {
-								bad = append(bad, Finding{Rule: "detlint", Pos: pos,
-									Msg: fmt.Sprintf("//%s on a function with no results; the annotation marks returned scratch", kind)})
-							}
-							continue
-						}
-						ann.scratch[fn] = true
+					if fd.Body == nil {
+						bad = append(bad, Finding{Rule: "detlint", Pos: pos,
+							Msg: fmt.Sprintf("//%s on a bodyless declaration; the escape gate needs a Go body", noallocDirective)})
+						continue
 					}
+					noalloc = append(noalloc, &annotation{fn: fn, decl: fd, pkg: pkg, pos: pos})
 				}
-			}
-			if !target[pkg] {
-				continue
 			}
 			for _, group := range file.Comments {
 				for _, c := range group.List {
-					if kind, ok := annotationKind(c); ok && !attached[c] {
+					if isNoallocAnnotation(c) && !attached[c] {
 						bad = append(bad, Finding{Rule: "detlint", Pos: mod.Fset.Position(c.Pos()),
-							Msg: fmt.Sprintf("//%s is not attached to a function declaration; put it in the doc comment directly above func", kind)})
+							Msg: fmt.Sprintf("//%s is not attached to a function declaration; put it in the doc comment directly above func", noallocDirective)})
 					}
 				}
 			}
 		}
 	}
-	mod.ann = ann
+	mod.noalloc = noalloc
 	return bad
 }
 
-// annotationKind reports which annotation a comment carries, if any.
+// isNoallocAnnotation reports whether a comment carries the annotation.
 // Trailing prose after the directive word is allowed.
-func annotationKind(c *ast.Comment) (string, bool) {
+func isNoallocAnnotation(c *ast.Comment) bool {
 	text := strings.TrimPrefix(c.Text, "//")
-	for _, kind := range [2]string{noallocDirective, scratchDirective} {
-		if text == kind || strings.HasPrefix(text, kind+" ") {
-			return kind, true
-		}
-	}
-	return "", false
+	return text == noallocDirective || strings.HasPrefix(text, noallocDirective+" ")
 }

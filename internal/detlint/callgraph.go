@@ -7,12 +7,12 @@ import (
 	"sync"
 )
 
-// callGraph is the whole-module call graph the interprocedural analyzers
-// (taintflow, handleflow, scratchescape) run their dataflow passes over.
+// callGraph is the whole-module call graph the handleflow escape engine
+// runs its dataflow pass over.
 //
 // Nodes are the module's own functions and methods — every *types.Func
 // whose declaration (with a body) was loaded. Edges are resolved
-// statically:
+// statically, per call expression, by resolveCall:
 //
 //   - direct calls to package-level functions and concrete methods bind
 //     to their single declaration;
@@ -28,8 +28,8 @@ import (
 //     analyzers track. DESIGN.md §14 documents the gap.
 //
 // The graph is built once per Run (inside Module.buildFacts) and is
-// immutable afterwards, so the per-package analyzer goroutines can share
-// it without locks.
+// immutable afterwards apart from the locked implementation memo, so the
+// per-package analyzer goroutines can share it.
 type callGraph struct {
 	mod *Module
 
@@ -39,17 +39,13 @@ type callGraph struct {
 	funcs []*funcInfo
 	infos map[*types.Func]*funcInfo
 
-	// callees maps a function to the deduplicated, deterministically
-	// ordered set of module-internal functions it may call.
-	callees map[*types.Func][]*types.Func
-
 	// named lists every named (non-alias) type declared in the module,
 	// for interface-implementation resolution.
 	named []*types.Named
 
 	// implMemo caches interface-method -> implementations lookups. The
-	// mutex covers post-build misses (a call expression in a package
-	// loaded for type information only is not walked during build).
+	// mutex covers the parallel analysis phase, where handleflow resolves
+	// every call of its package concurrently with the other packages.
 	implMu   sync.Mutex
 	implMemo map[*types.Func][]*types.Func
 }
@@ -66,7 +62,6 @@ func buildCallGraph(mod *Module) *callGraph {
 	cg := &callGraph{
 		mod:      mod,
 		infos:    make(map[*types.Func]*funcInfo),
-		callees:  make(map[*types.Func][]*types.Func),
 		implMemo: make(map[*types.Func][]*types.Func),
 	}
 	pkgs := mod.allPackages()
@@ -96,27 +91,6 @@ func buildCallGraph(mod *Module) *callGraph {
 				cg.named = append(cg.named, named)
 			}
 		}
-	}
-	// Edge construction; this walk also warms the CHA memo for every
-	// interface method the module calls.
-	for _, fi := range cg.funcs {
-		seen := make(map[*types.Func]bool)
-		var edges []*types.Func
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, callee := range cg.resolveCall(fi.pkg.Info, call) {
-				if !seen[callee] {
-					seen[callee] = true
-					edges = append(edges, callee)
-				}
-			}
-			return true
-		})
-		sort.Slice(edges, func(i, j int) bool { return declLess(cg.infos[edges[i]], cg.infos[edges[j]]) })
-		cg.callees[fi.fn] = edges
 	}
 	return cg
 }

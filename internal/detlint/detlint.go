@@ -15,7 +15,7 @@
 //
 // # Rules
 //
-// Eleven analyzers ship with the framework (see All). The first five are
+// Nine analyzers ship with the framework (see All). The first five are
 // syntactic, per-package rules:
 //
 //   - nowallclock: no wall-clock time (time.Now, time.Since, time.Sleep,
@@ -32,19 +32,12 @@
 //     package-level variables or sending them over channels; the per-run
 //     arena recycles every job when the run ends.
 //
-// The next five are semantic, whole-module rules built on a call graph
-// over go/types (see callgraph.go and DESIGN.md §14):
+// The next three need more than the syntax tree (see DESIGN.md §14):
 //
-//   - taintflow: a call, inside a deterministic package, to any module
-//     function that transitively reaches the wall clock or math/rand —
-//     the interprocedural closure of nowallclock/noglobalrand.
 //   - handleflow: passing a pooled sim.Event or arena-owned workload.Job
 //     handle to a function that stores it where it can outlive the
-//     handle — the interprocedural closure of eventretain/jobretain.
-//   - scratchescape: retaining a slice obtained from
-//     policies.Ctx.Scratch() (or from a //detlint:scratch function) in a
-//     field, global or element, or returning it across the exported API
-//     boundary; scratch lifetime ends when the scheduling pass returns.
+//     handle — the interprocedural closure of eventretain/jobretain,
+//     built on a call graph over go/types (see callgraph.go).
 //   - closecheck: a statement-level Close() or Flush() call whose error
 //     result is discarded; on buffered writers the Close error is the
 //     write error.
@@ -69,12 +62,10 @@
 //
 // # Annotations
 //
-// Two function annotations extend the rule set. They go in the function's
+// One function annotation extends the rule set. It goes in the function's
 // doc comment (or on the line directly above the declaration):
 //
 //	//detlint:noalloc — the function body must not allocate (see noalloc)
-//	//detlint:scratch — the function returns pass-scoped scratch storage;
-//	  scratchescape tracks its results like Ctx.Scratch() slices
 package detlint
 
 import (
@@ -103,8 +94,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoWallClock, NoGlobalRand, NoMapRange, EventRetain, JobRetain,
-		TaintFlow, HandleFlow, ScratchEscape, CloseCheck, NoAlloc,
-		StaleSuppress,
+		HandleFlow, CloseCheck, NoAlloc, StaleSuppress,
 	}
 }
 
@@ -121,8 +111,10 @@ var StaleSuppress = &Analyzer{
 
 // DeterministicPackages lists the module-relative import paths whose code
 // must stay bit-reproducible across runs and across serial/parallel
-// execution. nowallclock, nomaprange and taintflow apply only inside this
-// set; the other rules apply module-wide.
+// execution. nowallclock and nomaprange apply only inside this set; the
+// other rules apply module-wide. The set is closed under module imports:
+// a deterministic package imports only deterministic module packages, so
+// nondeterminism cannot hide in a helper one call away.
 var DeterministicPackages = []string{
 	"internal/analysis",
 	"internal/cluster",
@@ -131,6 +123,7 @@ var DeterministicPackages = []string{
 	"internal/dectrace",
 	"internal/dist",
 	"internal/experiments",
+	"internal/faults",
 	"internal/obs",
 	"internal/plot",
 	"internal/policies",
@@ -352,7 +345,7 @@ const ignorePrefix = "detlint:ignore"
 
 // directive is one parsed //detlint:ignore comment. used is set during
 // suppression filtering when a finding the directive covers was silenced,
-// and by the dataflow engines when they honor a store-site suppression.
+// and by the escape engine when it honors a store-site suppression.
 type directive struct {
 	pos  token.Position
 	rule string
@@ -398,10 +391,10 @@ func (s *suppressions) covering(f Finding) []*directive {
 }
 
 // sanctions reports whether a directive for any of the rules covers the
-// given position, marking matching directives used. The dataflow engines
-// call it at store sites: a suppressed store is a documented-safe store,
-// so it must not taint the functions that reach it. Only safe during the
-// single-threaded facts phase.
+// given position, marking matching directives used. The escape engine
+// calls it at store sites: a suppressed store is a documented-safe store,
+// so it must not mark the functions that reach it as retaining. Only
+// safe during the single-threaded facts phase.
 func (s *suppressions) sanctions(pos token.Position, rules ...string) bool {
 	if s == nil {
 		return false

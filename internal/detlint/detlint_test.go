@@ -3,11 +3,14 @@ package detlint_test
 import (
 	"bufio"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -199,6 +202,63 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestDeterministicSetClosed checks that DeterministicPackages is closed
+// under module imports: every module package a deterministic package
+// imports in non-test code is itself deterministic. nowallclock and
+// nomaprange check only the set, so a helper package outside it could
+// otherwise carry wall-clock reads or map order into simulation results.
+func TestDeterministicSetClosed(t *testing.T) {
+	root := filepath.Join("..", "..")
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	modPath := ""
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			modPath = strings.TrimSpace(rest)
+			break
+		}
+	}
+	if modPath == "" {
+		t.Fatal("no module line in go.mod")
+	}
+	det := make(map[string]bool, len(detlint.DeterministicPackages))
+	for _, rel := range detlint.DeterministicPackages {
+		det[rel] = true
+	}
+	fset := token.NewFileSet()
+	for _, rel := range detlint.DeterministicPackages {
+		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(rel), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Errorf("deterministic package %s has no Go files", rel)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				ip, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dep, ok := strings.CutPrefix(ip, modPath+"/")
+				if ok && !det[dep] {
+					t.Errorf("%s imports %s, which is not in DeterministicPackages",
+						filepath.ToSlash(path), dep)
+				}
+			}
+		}
 	}
 }
 

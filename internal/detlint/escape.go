@@ -9,13 +9,14 @@ import (
 )
 
 // This file is the interprocedural parameter-escape engine behind
-// handleflow and scratchescape. For every module function it computes,
-// per parameter of a tracked family (pooled sim.Event, arena-owned
-// workload.Job, pass-scoped scratch storage), whether calling the
-// function can store that argument somewhere that outlives the call —
-// directly (a field, global, element, channel send, append, composite
-// literal) or transitively (the parameter is forwarded to another module
-// function whose parameter escapes). The summaries are propagated to a
+// handleflow. For every module function it computes, per parameter of a
+// tracked family (pooled sim.Event, arena-owned workload.Job), whether
+// calling the function can store that argument somewhere that outlives
+// the call — directly (a field, global, element, channel send, append,
+// composite literal) or transitively (the parameter is forwarded to
+// another module function whose parameter escapes). Spreading a tracked
+// slice (`f(xs...)`, `append(dst, xs...)`) counts like passing it: the
+// handles inside are what is retained. The summaries are propagated to a
 // fixed point over the call graph, and each escaping parameter keeps a
 // witness (the store site, or the forwarding hop) for the finding
 // message.
@@ -36,22 +37,12 @@ type handleSpec struct {
 	// this family (jobs may sit in run-scoped fields, for example).
 	fields, elements, channels, globals bool
 
-	// spreadSink marks `f(xs...)` / `append(dst, xs...)` spreads of a
-	// tracked slice as retaining: true when the slice's *contents* are
-	// the hazard (handles), false when only the header is (scratch —
-	// a spread copies the elements out).
-	spreadSink bool
-
 	// suppressAs lists additional rules whose directives sanction a
 	// store site (the intraprocedural analyzers covering direct stores).
 	suppressAs []string
 
 	// track reports whether a parameter of this type carries the value.
 	track func(t types.Type) bool
-
-	// exemptStore, when set, approves an LHS the family considers its
-	// own storage (writes back into the scratch bundle).
-	exemptStore func(pkg *Package, lhs ast.Expr) bool
 }
 
 // paramEscape is the witness for one escaping parameter.
@@ -181,9 +172,6 @@ func (ef *escapeFacts) scanBody(cg *callGraph, fi *funcInfo, params map[types.Ob
 				if !ok {
 					continue
 				}
-				if spec.exemptStore != nil && spec.exemptStore(fi.pkg, n.Lhs[i]) {
-					continue
-				}
 				if why := classifyStore(spec, info, n.Lhs[i]); why != "" {
 					sink(pi, n.Lhs[i].Pos(), why)
 				}
@@ -216,9 +204,6 @@ func (ef *escapeFacts) scanBody(cg *callGraph, fi *funcInfo, params map[types.Ob
 					}
 					for _, a := range n.Args[1:] {
 						if pi, ok := paramIndex(a); ok {
-							if n.Ellipsis.IsValid() && a == n.Args[len(n.Args)-1] && !spec.spreadSink {
-								continue // xs... copies the elements out
-							}
 							sink(pi, a.Pos(), "appends it to a slice")
 						}
 					}
@@ -232,9 +217,6 @@ func (ef *escapeFacts) scanBody(cg *callGraph, fi *funcInfo, params map[types.Ob
 			for ai, a := range n.Args {
 				pi, ok := paramIndex(a)
 				if !ok {
-					continue
-				}
-				if n.Ellipsis.IsValid() && a == n.Args[len(n.Args)-1] && !spec.spreadSink {
 					continue
 				}
 				for _, callee := range callees {

@@ -36,7 +36,7 @@ func runEventRetain(pass *Pass) {
 	if pass.Pkg.ImportPath == simPath {
 		return
 	}
-	c := eventChecker{simPath: simPath, memo: make(map[types.Type]bool)}
+	c := newContainsChecker(simPath, "Event")
 	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
 		// Package-level variables.
@@ -118,52 +118,4 @@ func runEventRetain(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// eventChecker decides whether a type transitively contains sim.Event.
-type eventChecker struct {
-	simPath string
-	memo    map[types.Type]bool
-}
-
-func (c *eventChecker) contains(t types.Type) bool {
-	if v, ok := c.memo[t]; ok {
-		return v
-	}
-	// Pre-seed false to terminate on recursive types.
-	c.memo[t] = false
-	v := c.containsUncached(t)
-	c.memo[t] = v
-	return v
-}
-
-func (c *eventChecker) containsUncached(t types.Type) bool {
-	switch t := t.(type) {
-	case *types.Named:
-		obj := t.Obj()
-		if obj.Name() == "Event" && obj.Pkg() != nil && obj.Pkg().Path() == c.simPath {
-			return true
-		}
-		return c.contains(t.Underlying())
-	case *types.Alias:
-		return c.contains(types.Unalias(t))
-	case *types.Pointer:
-		return c.contains(t.Elem())
-	case *types.Slice:
-		return c.contains(t.Elem())
-	case *types.Array:
-		return c.contains(t.Elem())
-	case *types.Map:
-		return c.contains(t.Key()) || c.contains(t.Elem())
-	case *types.Chan:
-		return c.contains(t.Elem())
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if c.contains(t.Field(i).Type()) {
-				return true
-			}
-		}
-		return false
-	}
-	return false
 }

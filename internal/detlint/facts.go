@@ -1,30 +1,24 @@
 package detlint
 
-import "go/types"
-
-// moduleFacts bundles the interprocedural dataflow the semantic rules
-// share: the whole-module call graph, the taint closure, and the escape
-// summaries. Run builds it once, single-threaded, before the parallel
-// per-package analysis phase; afterwards it is immutable.
+// moduleFacts bundles the interprocedural dataflow handleflow runs on:
+// the whole-module call graph and the escape summaries for the two
+// handle families. Run builds it once, single-threaded, before the
+// parallel per-package analysis phase; afterwards it is immutable.
 type moduleFacts struct {
-	cg      *callGraph
-	taint   map[*types.Func]*taintFact
-	event   *escapeFacts
-	job     *escapeFacts
-	scratch *scratchFacts
+	cg    *callGraph
+	event *escapeFacts
+	job   *escapeFacts
 }
 
-// buildFacts constructs the call graph and all dataflow summaries. The
-// fact builders honor existing //detlint:ignore directives at store and
-// source sites (crediting them for the staleness pass), so m.sup must be
+// buildFacts constructs the call graph and the escape summaries. The
+// escape engine honors existing //detlint:ignore directives at store
+// sites (crediting them for the staleness pass), so m.sup must be
 // populated first.
 func (m *Module) buildFacts() {
 	cg := buildCallGraph(m)
 	m.facts = &moduleFacts{
-		cg:      cg,
-		taint:   buildTaint(cg),
-		event:   buildEscapeFacts(cg, eventSpec(m)),
-		job:     buildEscapeFacts(cg, jobSpec(m)),
-		scratch: buildScratchFacts(cg),
+		cg:    cg,
+		event: buildEscapeFacts(cg, eventSpec(m)),
+		job:   buildEscapeFacts(cg, jobSpec(m)),
 	}
 }

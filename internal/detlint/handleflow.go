@@ -20,8 +20,7 @@ var HandleFlow = &Analyzer{
 }
 
 // eventSpec configures the escape engine for pooled sim.Event handles:
-// any persistent store is a sink, matching eventretain, and spreading a
-// slice of handles retains its contents.
+// any persistent store is a sink, matching eventretain.
 func eventSpec(mod *Module) *handleSpec {
 	check := newContainsChecker(mod.Path+"/internal/sim", "Event")
 	return &handleSpec{
@@ -33,7 +32,6 @@ func eventSpec(mod *Module) *handleSpec {
 		elements:   true,
 		channels:   true,
 		globals:    true,
-		spreadSink: true,
 		suppressAs: []string{EventRetain.Name},
 		track:      check.contains,
 	}
@@ -52,7 +50,6 @@ func jobSpec(mod *Module) *handleSpec {
 		owner:      "internal/workload",
 		channels:   true,
 		globals:    true,
-		spreadSink: true,
 		suppressAs: []string{JobRetain.Name},
 		track:      check.contains,
 	}

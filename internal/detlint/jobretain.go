@@ -37,12 +37,11 @@ func runJobRetain(pass *Pass) {
 	if pass.Pkg.ImportPath == wlPath {
 		return
 	}
-	c := jobChecker{wlPath: wlPath, memo: make(map[types.Type]bool)}
+	c := newContainsChecker(wlPath, "Job")
 	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
-		// Package-level variables. The checker does not traverse into
-		// channel types here — channels are reported once, below, at the
-		// channel type itself.
+		// Package-level variables. A channel-typed global is skipped
+		// here: it is reported once, below, at the channel type itself.
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {
@@ -58,7 +57,10 @@ func runJobRetain(pass *Pass) {
 						continue // a blank var discards the value
 					}
 					obj := info.Defs[name]
-					if obj != nil && c.contains(obj.Type()) {
+					if obj == nil {
+						continue
+					}
+					if _, isChan := obj.Type().Underlying().(*types.Chan); !isChan && c.contains(obj.Type()) {
 						pass.Reportf(name.Pos(),
 							"package-level variable %s retains a workload.Job handle; %s", name.Name, jobRetainAdvice)
 					}
@@ -82,51 +84,4 @@ func runJobRetain(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// jobChecker decides whether a type transitively contains workload.Job.
-// Channels terminate the traversal: the channel check reports them itself.
-type jobChecker struct {
-	wlPath string
-	memo   map[types.Type]bool
-}
-
-func (c *jobChecker) contains(t types.Type) bool {
-	if v, ok := c.memo[t]; ok {
-		return v
-	}
-	// Pre-seed false to terminate on recursive types.
-	c.memo[t] = false
-	v := c.containsUncached(t)
-	c.memo[t] = v
-	return v
-}
-
-func (c *jobChecker) containsUncached(t types.Type) bool {
-	switch t := t.(type) {
-	case *types.Named:
-		obj := t.Obj()
-		if obj.Name() == "Job" && obj.Pkg() != nil && obj.Pkg().Path() == c.wlPath {
-			return true
-		}
-		return c.contains(t.Underlying())
-	case *types.Alias:
-		return c.contains(types.Unalias(t))
-	case *types.Pointer:
-		return c.contains(t.Elem())
-	case *types.Slice:
-		return c.contains(t.Elem())
-	case *types.Array:
-		return c.contains(t.Elem())
-	case *types.Map:
-		return c.contains(t.Key()) || c.contains(t.Elem())
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if c.contains(t.Field(i).Type()) {
-				return true
-			}
-		}
-		return false
-	}
-	return false
 }

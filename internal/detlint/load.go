@@ -25,10 +25,10 @@ type Module struct {
 	std  types.Importer      // stdlib resolver (shared go/importer "source")
 
 	// Filled in by Run before the analysis phase; immutable during it.
-	sup   *suppressions // parsed //detlint:ignore directives
-	ann   *annotations  // //detlint:noalloc and //detlint:scratch sites
-	facts *moduleFacts  // call graph + dataflow summaries (semantic rules)
-	escm  *escapeDiags  // parsed `go build -gcflags=-m` output (noalloc)
+	sup     *suppressions // parsed //detlint:ignore directives
+	noalloc []*annotation // //detlint:noalloc sites, in collection order
+	facts   *moduleFacts  // call graph + escape summaries (handleflow)
+	escm    *escapeDiags  // parsed `go build -gcflags=-m` output (noalloc)
 }
 
 // allPackages returns every successfully loaded package — the analysis

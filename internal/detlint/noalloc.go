@@ -49,13 +49,13 @@ type escapeDiags struct {
 // mclint exits 2. With no annotations in the module the probe is
 // skipped entirely.
 func (m *Module) buildNoAllocFacts() error {
-	if len(m.ann.noalloc) == 0 {
+	if len(m.noalloc) == 0 {
 		return nil
 	}
 	// One `go build` per package set; main packages are built separately
 	// with -o to the null device so no binary lands in the module root.
 	pkgSet := make(map[string]*Package)
-	for _, a := range m.ann.noalloc {
+	for _, a := range m.noalloc {
 		pkgSet[a.pkg.ImportPath] = a.pkg
 	}
 	var rest, mains []string
@@ -168,7 +168,7 @@ func runNoAlloc(p *Pass) {
 		return
 	}
 	fset := p.Module.Fset
-	for _, a := range p.Module.ann.noalloc {
+	for _, a := range p.Module.noalloc {
 		if a.pkg != p.Pkg {
 			continue
 		}

@@ -1,26 +1,13 @@
-// Interprocedural fixtures: taint laundered through a helper package
-// (taintflow) and pooled handles leaked through helper functions
-// (handleflow). The direct stores inside the helpers are the syntactic
-// findings; the calls handing the value over are the interprocedural
-// ones.
+// Interprocedural fixtures: pooled handles leaked through helper
+// functions (handleflow). The direct stores inside the helpers are the
+// syntactic findings; the calls handing the value over are the
+// interprocedural ones.
 package policies
 
 import (
-	"coalloc/internal/hostenv"
 	"coalloc/internal/sim"
 	"coalloc/internal/workload"
 )
-
-// stampArrival calls a clean-looking helper that reaches time.Now two
-// hops away.
-func stampArrival() int64 {
-	return hostenv.Stamp() // want taintflow
-}
-
-// width calls a genuinely clean helper from the same package; no taint.
-func width() int {
-	return hostenv.Width()
-}
 
 // registry retains event handles; its add method is where the handle
 // escapes, and every call passing a handle in is a handleflow finding.
@@ -43,8 +30,6 @@ func leakHandles(e *sim.Engine) {
 	ev := e.After(1, nil)
 	r.add(ev)    // want handleflow
 	stash(r, ev) // want handleflow
-	_ = stampArrival
-	_ = width
 }
 
 var archived *workload.Job // want jobretain

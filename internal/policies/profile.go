@@ -233,7 +233,6 @@ func (p *profile) ensureScratch(comps int) {
 // only until the next earliestStart call on this profile, so callers must
 // consume it (reserve, dispatch — Dispatch copies) before probing again.
 //
-//detlint:scratch
 //detlint:noalloc
 func (p *profile) earliestStart(comps []int, dur float64, fit cluster.Fit) (float64, []int) {
 	nc, S := p.nc, p.n
