@@ -69,9 +69,14 @@ bench:
 # figure schedule) — the record the sweep overhaul claims. The legacy
 # arm originally also used per-curve scheduling barriers; that schedule
 # is gone, and the cutoff alone keeps the ratio near 5x.
+#
+# The last line runs the queue-removal micro-benchmark once, ungated, so
+# it keeps compiling and running; its ns/op should stay flat across the
+# 1k, 20k and 100k queue lengths.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchtime 1x -count 3 -benchmem . | $(GO) run ./scripts/benchguard -record BENCH_3.json -key smoke -max-time-regress 0.35
 	$(GO) test -run '^$$' -bench '$(FIGBENCH)' -benchtime 1x -count 3 -benchmem . | $(GO) run ./scripts/benchguard -record BENCH_4.json -key smoke -match '^BenchmarkFigureWallClock/' -max-time-regress 0.35 -speedup-base BenchmarkFigureWallClock/legacy -speedup-test BenchmarkFigureWallClock/overhauled -min-speedup 3
+	$(GO) test -run '^$$' -bench 'BenchmarkRemoveAllDeepQueue' -benchtime 1x -benchmem ./internal/queues
 
 # bench-check runs the repository benchmark's self-tests, then its drivers
 # workload (trace replay, constant backlog and a faulted, traced open

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"coalloc/internal/obs"
 	"coalloc/internal/rng"
@@ -237,5 +239,69 @@ func TestRunReplicationsObservedSerialMatchesParallel(t *testing.T) {
 	}
 	if cfg.Observer.Metrics.Counter("jobs.departures").Value() == 0 {
 		t.Fatal("observer saw no departures across replications")
+	}
+}
+
+// TestObserverDoesNotRetainSimulation pins that an Observer outliving its
+// run does not keep the finished simulation alive: the driver detaches the
+// engine clock it installed, so the engine, the policy, the arena and
+// everything they hold become garbage when the front end returns. Each
+// case hands the run an object that only the simulation references and
+// waits for its finalizer with the Observer still reachable.
+func TestObserverDoesNotRetainSimulation(t *testing.T) {
+	cases := map[string]func(o *obs.Observer, owned func(any)) error{
+		"Run": func(o *obs.Observer, owned func(any)) error {
+			cfg := obsRunConfig(t)
+			cfg.MeasureJobs = 200
+			base := cfg
+			cfg.Observer = o
+			cfg.TraceProvider = func(seed uint64) *Trace {
+				tr, err := NewTrace(base, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				owned(tr) // held only by the run's trace cursor
+				return tr
+			}
+			_, err := Run(cfg)
+			return err
+		},
+		"Replay": func(o *obs.Observer, owned func(any)) error {
+			sched := new(bytes.Buffer)
+			owned(sched) // held only by the run's schedule writer
+			_, err := Replay(ReplayConfig{
+				ClusterSizes:    []int{32, 32, 32, 32},
+				Records:         replayRecords(200),
+				Policy:          "GS-CONS",
+				ComponentLimit:  16,
+				ExtensionFactor: 1.25,
+				ScheduleWriter:  sched,
+				Observer:        o,
+			})
+			return err
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			o := obs.New(nil)
+			collected := make(chan struct{})
+			owned := func(v any) {
+				runtime.SetFinalizer(v, func(any) { close(collected) })
+			}
+			if err := run(o, owned); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					runtime.KeepAlive(o)
+					return
+				case <-time.After(20 * time.Millisecond):
+				}
+			}
+			runtime.KeepAlive(o)
+			t.Fatal("the finished simulation is still reachable from its Observer")
+		})
 	}
 }

@@ -124,6 +124,7 @@ func Replay(rc ReplayConfig) (ReplayResult, error) {
 	if err != nil {
 		return ReplayResult{}, err
 	}
+	defer s.obs.SetClock(nil) // see Run
 	s.source = recordedArrivals
 	capacity := s.m.Capacity()
 	for _, r := range recs {

@@ -525,6 +525,10 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	defer s.recycle()
+	// The clock is a method value on the engine, whose handler closes over
+	// the whole simulation: detach it so an Observer that outlives the run
+	// does not keep the run alive.
+	defer s.obs.SetClock(nil)
 	if s.warmupJobs == 0 {
 		// No warmup: measure from time zero. Without this, measurement
 		// would only begin at the first departure (startMeasuring is

@@ -114,7 +114,9 @@ func (o *Observer) Enabled() bool { return o != nil }
 
 // SetClock installs the virtual-clock reader used to timestamp trace
 // records that are reported without an explicit time (queue
-// enable/disable transitions). The simulation wires the engine's Now here.
+// enable/disable transitions). The simulation wires the engine's Now here
+// and detaches it (SetClock(nil)) when the run ends, so an Observer kept
+// after the run does not keep the finished simulation reachable.
 func (o *Observer) SetClock(now func() float64) {
 	if o == nil {
 		return

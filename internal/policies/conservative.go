@@ -563,6 +563,9 @@ func (p *Conservative) fastPass(ctx Ctx) bool {
 			return true
 		})
 	}
+	// s.Started is in queue order, as RemoveAll requires: the retained
+	// list covers queue positions [0, covered) in order, so the fired
+	// reservations come first, then evalFast's starts from covered on.
 	if len(s.Started) > 0 {
 		p.q.RemoveAll(s.Started)
 	}

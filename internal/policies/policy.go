@@ -63,7 +63,8 @@ type Scratch struct {
 	// Round snapshots a visit order for one round of a multi-queue pass.
 	Round []int
 	// Started collects the jobs a backfilling pass dispatched, for batch
-	// removal from the queue. Cleared at the start of each pass.
+	// removal from the queue. Cleared at the start of each pass. Passes
+	// append in FCFS order, the order queues.FIFO.RemoveAll requires.
 	Started []*workload.Job
 }
 

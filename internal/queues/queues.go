@@ -17,7 +17,6 @@ import (
 type FIFO struct {
 	jobs []*workload.Job
 	head int
-	drop map[*workload.Job]bool // reusable RemoveAll scratch, cleared after use
 }
 
 // Push appends a job.
@@ -39,16 +38,21 @@ func (q *FIFO) Pop() *workload.Job {
 	j := q.jobs[q.head]
 	q.jobs[q.head] = nil // release for GC
 	q.head++
-	// Compact once the dead prefix dominates, keeping Pop amortized O(1).
-	if q.head > 64 && q.head*2 >= len(q.jobs) {
-		n := copy(q.jobs, q.jobs[q.head:])
-		for i := n; i < len(q.jobs); i++ {
-			q.jobs[i] = nil
-		}
-		q.jobs = q.jobs[:n]
-		q.head = 0
-	}
+	q.compact()
 	return j
+}
+
+// compact moves the queued jobs to the front of the backing slice once the
+// dead prefix dominates, keeping Pop and RemoveAll amortized O(1) per
+// removed job and the backing slice within 2*Len()+64 entries.
+func (q *FIFO) compact() {
+	if q.head <= 64 || q.head*2 < len(q.jobs) {
+		return
+	}
+	n := copy(q.jobs, q.jobs[q.head:])
+	clear(q.jobs[n:])
+	q.jobs = q.jobs[:n]
+	q.head = 0
 }
 
 // Len returns the number of queued jobs.
@@ -65,56 +69,43 @@ func (q *FIFO) ForEachWaiting(fn func(idx int, j *workload.Job) bool) {
 	}
 }
 
-// removeAllScanLimit is the batch size up to which RemoveAll membership
-// tests run as a linear identity scan. Backfilling passes start a handful
-// of jobs at a time, so the scan covers the common case without touching
-// the map at all.
-const removeAllScanLimit = 8
-
 // RemoveAll deletes the given jobs (compared by identity) from the queue,
-// preserving the order of the remaining jobs. Jobs not present are
-// ignored. Backfilling uses it to extract the candidates it started from
-// the middle of the queue. RemoveAll allocates nothing in the steady
-// state: small batches use a linear scan, larger ones a reusable map that
-// is cleared — not dropped — after the pass, so no job pointers outlive
-// the call.
+// preserving the order of the remaining jobs. Every listed job must be
+// queued, and the list must be in FCFS order — the order ForEachWaiting
+// visits them in, which is how backfilling passes collect the candidates
+// they start. A missing, repeated or out-of-order job panics before the
+// queue is changed.
+//
+// The cost is proportional to the queue position of the last listed job,
+// not to the queue length: the surviving jobs ahead of it shift toward
+// the tail and the head advances past the vacated slots. RemoveAll
+// allocates nothing.
 func (q *FIFO) RemoveAll(jobs []*workload.Job) {
-	if len(jobs) == 0 {
-		return
+	// Merge the list against the queue from the head, validating it in
+	// full before anything moves. end ends past the last listed job.
+	end := q.head
+	for _, j := range jobs {
+		for end < len(q.jobs) && q.jobs[end] != j {
+			end++
+		}
+		if end == len(q.jobs) {
+			panic(fmt.Sprintf("queues: RemoveAll of job %d, which is not queued after the jobs listed before it", j.ID))
+		}
+		end++
 	}
-	kept := q.jobs[q.head:]
-	out := kept[:0]
-	if len(jobs) <= removeAllScanLimit {
-		for _, j := range kept {
-			found := false
-			for _, d := range jobs {
-				if d == j {
-					found = true
-					break
-				}
-			}
-			if !found {
-				out = append(out, j)
-			}
+	// Shift the survivors of [head, end) toward end, back to front.
+	w, k := end, len(jobs)-1
+	for i := end - 1; i >= q.head; i-- {
+		if k >= 0 && q.jobs[i] == jobs[k] {
+			k--
+			continue
 		}
-	} else {
-		if q.drop == nil {
-			q.drop = make(map[*workload.Job]bool, len(jobs))
-		}
-		for _, j := range jobs {
-			q.drop[j] = true
-		}
-		for _, j := range kept {
-			if !q.drop[j] {
-				out = append(out, j)
-			}
-		}
-		clear(q.drop)
+		w--
+		q.jobs[w] = q.jobs[i]
 	}
-	for i := len(out); i < len(kept); i++ {
-		kept[i] = nil
-	}
-	q.jobs = q.jobs[:q.head+len(out)]
+	clear(q.jobs[q.head:w])
+	q.head = w
+	q.compact()
 }
 
 // Empty reports whether the queue has no jobs.

@@ -1,6 +1,7 @@
 package queues
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -350,8 +351,8 @@ func TestRemoveAll(t *testing.T) {
 		jobs[i] = job(int64(i + 1))
 		q.Push(jobs[i])
 	}
-	q.Pop()                                                 // head advances past job 1
-	q.RemoveAll([]*workload.Job{jobs[2], jobs[4], job(99)}) // 99 not present
+	q.Pop() // head advances past job 1
+	q.RemoveAll([]*workload.Job{jobs[2], jobs[4]})
 	var got []int64
 	q.ForEachWaiting(func(_ int, j *workload.Job) bool {
 		got = append(got, j.ID)
@@ -403,6 +404,13 @@ func TestRemoveAllMatchesReference(t *testing.T) {
 				}
 				q.RemoveAll(drop)
 				ref = keep
+				// Refill behind the removal, as arrivals do between passes.
+				for n := r.Intn(3); n > 0; n-- {
+					id++
+					j := job(id)
+					q.Push(j)
+					ref = append(ref, j)
+				}
 			case r.Intn(2) == 0 && len(ref) > 0:
 				if q.Pop() != ref[0] {
 					return false
@@ -414,7 +422,7 @@ func TestRemoveAllMatchesReference(t *testing.T) {
 				q.Push(j)
 				ref = append(ref, j)
 			}
-			if q.Len() != len(ref) {
+			if q.Len() != len(ref) || len(q.jobs) > 2*q.Len()+64 {
 				return false
 			}
 			i := 0
@@ -459,51 +467,107 @@ func TestEnableAllSorted(t *testing.T) {
 	}
 }
 
-// TestRemoveAllLargeBatchClearsScratch exercises the map path (batches
-// beyond removeAllScanLimit) and pins the scratch contract: the reusable
-// map must be emptied after the pass so no job pointers outlive the call.
-func TestRemoveAllLargeBatchClearsScratch(t *testing.T) {
-	var q FIFO
-	jobs := make([]*workload.Job, 2*removeAllScanLimit+4)
+// TestRemoveAllRejectsBadBatch pins the FCFS-order contract: a batch
+// naming a job that is not queued, or listing queued jobs out of queue
+// order, panics and leaves the queue exactly as it was.
+func TestRemoveAllRejectsBadBatch(t *testing.T) {
+	jobs := make([]*workload.Job, 6)
 	for i := range jobs {
 		jobs[i] = job(int64(i + 1))
-		q.Push(jobs[i])
 	}
-	q.RemoveAll(jobs[:removeAllScanLimit+2]) // > scan limit: map path
-	if q.Len() != len(jobs)-(removeAllScanLimit+2) {
-		t.Fatalf("len %d after large-batch removal", q.Len())
-	}
-	if q.Head() != jobs[removeAllScanLimit+2] {
-		t.Errorf("head %v after removal", q.Head())
-	}
-	if len(q.drop) != 0 {
-		t.Errorf("scratch map retains %d job pointers after RemoveAll", len(q.drop))
+	for name, batch := range map[string][]*workload.Job{
+		"missing":      {jobs[2], job(99)},
+		"out of order": {jobs[4], jobs[2]},
+		"repeated":     {jobs[3], jobs[3]},
+		"popped":       {jobs[0], jobs[2]},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var q FIFO
+			for _, j := range jobs {
+				q.Push(j)
+			}
+			q.Pop() // job 1 leaves; the queue holds jobs 2..6
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("RemoveAll did not panic")
+					}
+				}()
+				q.RemoveAll(batch)
+			}()
+			if q.Len() != 5 {
+				t.Fatalf("len %d after rejected batch, want 5", q.Len())
+			}
+			q.ForEachWaiting(func(idx int, j *workload.Job) bool {
+				if j != jobs[idx+1] {
+					t.Errorf("position %d holds job %d after rejected batch, want %d", idx, j.ID, idx+2)
+				}
+				return true
+			})
+		})
 	}
 }
 
-// TestRemoveAllSmallBatchZeroAlloc pins that scan-path removals — the
-// common case in backfilling passes — allocate nothing.
-func TestRemoveAllSmallBatchZeroAlloc(t *testing.T) {
+// TestRemoveAllZeroAlloc pins that removals allocate nothing, for the
+// handful of jobs a backfilling pass usually starts and for batches of
+// dozens alike.
+func TestRemoveAllZeroAlloc(t *testing.T) {
 	var q FIFO
 	jobs := make([]*workload.Job, 64)
 	for i := range jobs {
 		jobs[i] = job(int64(i + 1))
 	}
-	batch := make([]*workload.Job, 0, removeAllScanLimit)
-	cycle := func() {
-		for _, j := range jobs {
-			q.Push(j)
+	small := []*workload.Job{jobs[3], jobs[17], jobs[40]}
+	var large []*workload.Job
+	for i := 1; i < len(jobs); i += 3 {
+		large = append(large, jobs[i])
+	}
+	for _, batch := range [][]*workload.Job{small, large} {
+		cycle := func() {
+			for _, j := range jobs {
+				q.Push(j)
+			}
+			q.RemoveAll(batch)
+			for q.Len() > 0 {
+				q.Pop()
+			}
 		}
-		batch = append(batch[:0], jobs[3], jobs[17], jobs[40])
-		q.RemoveAll(batch)
-		for q.Len() > 0 {
-			q.Pop()
+		for i := 0; i < 10; i++ {
+			cycle() // warm the backing slice
+		}
+		if a := testing.AllocsPerRun(100, cycle); a != 0 {
+			t.Fatalf("RemoveAll cycle of %d jobs allocates %.2f per run, want 0", len(batch), a)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		cycle() // warm the backing slice
-	}
-	if a := testing.AllocsPerRun(100, cycle); a != 0 {
-		t.Fatalf("small-batch RemoveAll cycle allocates %.2f per run, want 0", a)
+}
+
+// BenchmarkRemoveAllDeepQueue removes one to three jobs from the first 32
+// positions of a long queue and pushes them back at the tail, as a
+// backfilling pass over a saturated queue does. RemoveAll's cost follows
+// the deepest removed position, so ns/op is flat across queue lengths.
+func BenchmarkRemoveAllDeepQueue(b *testing.B) {
+	for _, n := range []int{1000, 20000, 100000} {
+		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
+			var q FIFO
+			for i := 0; i < n; i++ {
+				q.Push(job(int64(i)))
+			}
+			r := rng.NewStream(uint64(n))
+			batch := make([]*workload.Job, 0, 3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch = batch[:0]
+				pos := -1
+				for k := 1 + r.Intn(3); k > 0; k-- {
+					pos += 1 + r.Intn(32-pos-k)
+					batch = append(batch, q.jobs[q.head+pos])
+				}
+				q.RemoveAll(batch)
+				for _, j := range batch {
+					q.Push(j)
+				}
+			}
+		})
 	}
 }
