@@ -74,8 +74,12 @@ func BenchmarkGrossNetRatio(b *testing.B) { benchExperiment(b, "ratio") }
 // cutoff guardrail tests); only the wall clock differs. This is the
 // benchmark behind the sweep-overhaul record in BENCH_4.json, whose
 // legacy arm originally also used per-curve scheduling barriers; that
-// schedule is gone, and the cutoff alone accounts for about the same
-// ratio.
+// schedule is gone, and the cutoff alone accounts for a similar ratio.
+// Both arms run only the 0.9 point of each curve: it saturates, and the
+// figure schedule claims points in ascending grid order, so the curve's
+// stop marker cuts 0.95 before it is claimed. That leaves the ratio
+// noisier (3.5–6.3× in single-shot runs on a 2-core machine) but above
+// the 3× floor make bench-smoke gates.
 func BenchmarkFigureWallClock(b *testing.B) {
 	run := func(cutoff bool) func(*testing.B) {
 		return func(b *testing.B) {
@@ -89,6 +93,7 @@ func BenchmarkFigureWallClock(b *testing.B) {
 			// near 0.62 gross for all of them, so every point here is far
 			// beyond saturation. These are the points that dominate a
 			// full figure's wall clock: the runs the cutoff truncates.
+			// Only 0.9 runs; it ends each curve before 0.95 is claimed.
 			p.Utilizations = []float64{0.9, 0.95}
 			p.SaturationCutoff = cutoff
 			env := experiments.NewEnv(p)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"coalloc/internal/rng"
@@ -10,7 +11,9 @@ import (
 
 // Trace is a compact record of the workload one replication would sample:
 // per job, the absolute arrival time, the total size, the net service
-// time, and the routed local queue. A sweep generates it once per
+// time, and the routed local queue. Sizes are stored as int16 and queues
+// as uint8, 19 B per job, because a sweep's trace cache holds tens of
+// traces of tens of thousands of jobs each. A sweep generates it once per
 // (seed, utilization) point and replays it into every policy's run — the
 // paper's methodology of comparing all policies on the same workload
 // (common random numbers), and a large saving when four-plus policies
@@ -37,9 +40,9 @@ type Trace struct {
 
 	mu       sync.Mutex
 	arrivals []float64
-	sizes    []int32
+	sizes    []int16
 	services []float64
-	queues   []int32
+	queues   []uint8
 
 	spec        workload.Spec
 	routeCDF    []float64
@@ -56,7 +59,9 @@ const traceChunk = 4096
 // NewTrace prepares the workload trace one replication of cfg would
 // sample at the given seed. Entries are generated on demand; building a
 // Trace is cheap. Only Unordered requests can be traced — the other
-// request types draw placement randomness interleaved with scheduling.
+// request types draw placement randomness interleaved with scheduling —
+// and only when every job size fits an int16 and every queue index a
+// uint8; a trace provider falls back to live sampling otherwise.
 func NewTrace(cfg Config, seed uint64) (*Trace, error) {
 	if cfg.RequestType != workload.Unordered {
 		return nil, fmt.Errorf("core: workload traces support unordered requests, not %s", cfg.RequestType)
@@ -67,12 +72,19 @@ func NewTrace(cfg Config, seed uint64) (*Trace, error) {
 	if cfg.ArrivalRate <= 0 {
 		return nil, fmt.Errorf("core: trace arrival rate %g must be positive", cfg.ArrivalRate)
 	}
+	if m := cfg.Spec.Sizes.Max(); m > math.MaxInt16 {
+		return nil, fmt.Errorf("core: trace job sizes up to %d do not fit an int16", m)
+	}
+	routeCDF := routingCDF(cfg.QueueWeights, len(cfg.ClusterSizes))
+	if len(routeCDF) > math.MaxUint8+1 {
+		return nil, fmt.Errorf("core: trace routes to %d queues, more than a uint8 indexes", len(routeCDF))
+	}
 	src := rng.NewSource(seed)
 	return &Trace{
 		seed:        seed,
 		rate:        cfg.ArrivalRate,
 		spec:        cfg.Spec,
-		routeCDF:    routingCDF(cfg.QueueWeights, len(cfg.ClusterSizes)),
+		routeCDF:    routeCDF,
 		arrivalsRng: src.Stream("core/arrivals"),
 		sizesRng:    src.Stream("core/sizes"),
 		servicesRng: src.Stream("core/services"),
@@ -84,7 +96,7 @@ func NewTrace(cfg Config, seed uint64) (*Trace, error) {
 // slice headers. The returned slices are append-only prefixes: their
 // contents never change after publication, so callers may read them
 // without holding the lock.
-func (t *Trace) ensure(k int) (arrivals []float64, sizes []int32, services []float64, queues []int32) {
+func (t *Trace) ensure(k int) (arrivals []float64, sizes []int16, services []float64, queues []uint8) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.arrivals) <= k {
@@ -94,7 +106,7 @@ func (t *Trace) ensure(k int) (arrivals []float64, sizes []int32, services []flo
 			// interarrival to the previous arrival's timestamp.
 			t.lastArrival += t.arrivalsRng.Exp(t.rate)
 			t.arrivals = append(t.arrivals, t.lastArrival)
-			t.sizes = append(t.sizes, int32(t.spec.Sizes.Sample(t.sizesRng)))
+			t.sizes = append(t.sizes, int16(t.spec.Sizes.Sample(t.sizesRng)))
 			t.services = append(t.services, t.spec.Service.Sample(t.servicesRng))
 			q := 0
 			if len(t.routeCDF) > 1 {
@@ -107,7 +119,7 @@ func (t *Trace) ensure(k int) (arrivals []float64, sizes []int32, services []flo
 					}
 				}
 			}
-			t.queues = append(t.queues, int32(q))
+			t.queues = append(t.queues, uint8(q))
 		}
 	}
 	return t.arrivals, t.sizes, t.services, t.queues
@@ -133,9 +145,9 @@ func (t *Trace) matches(cfg Config) error {
 type traceCursor struct {
 	tr       *Trace
 	arrivals []float64
-	sizes    []int32
+	sizes    []int16
 	services []float64
-	queues   []int32
+	queues   []uint8
 }
 
 func newTraceCursor(tr *Trace) *traceCursor {

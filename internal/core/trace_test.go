@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
+	"coalloc/internal/dist"
 	"coalloc/internal/workload"
 )
 
@@ -154,5 +156,29 @@ func TestTraceRequiresUnordered(t *testing.T) {
 	cfg.TraceProvider = func(uint64) *Trace { return tr }
 	if err := cfg.Validate(); err == nil {
 		t.Error("Validate accepted a trace with ordered requests")
+	}
+}
+
+// TestTraceRejectsUnrepresentable: a trace stores sizes as int16 and
+// queue indices as uint8, so NewTrace must refuse a size distribution or
+// a queue count that would not round-trip instead of truncating it.
+func TestTraceRejectsUnrepresentable(t *testing.T) {
+	cfg := traceTestConfig(t)
+	cfg.Spec.Sizes = dist.NewEmpiricalInt([]int{1, math.MaxInt16}, []float64{1, 1})
+	if _, err := NewTrace(cfg, cfg.Seed); err != nil {
+		t.Errorf("NewTrace refused the largest int16 size: %v", err)
+	}
+	cfg.Spec.Sizes = dist.NewEmpiricalInt([]int{1, math.MaxInt16 + 1}, []float64{1, 1})
+	if _, err := NewTrace(cfg, cfg.Seed); err == nil {
+		t.Error("NewTrace accepted a size that does not fit an int16")
+	}
+	cfg = traceTestConfig(t)
+	cfg.ClusterSizes = make([]int, math.MaxUint8+1)
+	if _, err := NewTrace(cfg, cfg.Seed); err != nil {
+		t.Errorf("NewTrace refused %d queues: %v", len(cfg.ClusterSizes), err)
+	}
+	cfg.ClusterSizes = make([]int, math.MaxUint8+2)
+	if _, err := NewTrace(cfg, cfg.Seed); err == nil {
+		t.Errorf("NewTrace accepted %d queues", len(cfg.ClusterSizes))
 	}
 }

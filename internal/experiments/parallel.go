@@ -85,16 +85,21 @@ func (p *progress) skip(n int) {
 
 // runSet runs every (curve, point) task of the job set on the shared
 // workpool and returns each curve's results in grid order. Tasks are
-// enumerated up front and claimed in descending grid-index order (the
-// expected-longest points first), interleaving the curves, so the pool
-// drains the whole figure without per-curve barriers: one slow curve
-// never idles the workers the other curves could use. Each curve keeps
-// its own stop marker: when a point saturates or fails, points of that
-// curve at or beyond it are never started, and the wasted work is bounded
-// by the points already in flight. Each returned slice may therefore be
-// shorter than its grid; it always extends at least through the curve's
-// first saturated point, because the marker only ever shrinks to just
-// past a completed point — every index below the final marker ran.
+// enumerated up front and claimed in ascending grid-index order,
+// interleaving the curves at each index, so the pool drains the whole
+// figure without per-curve barriers: one slow curve never idles the
+// workers the other curves could use. Each curve keeps its own stop
+// marker: when a point saturates or fails, points of that curve at or
+// beyond it are never started. Because a curve's points are claimed low
+// to high, its marker shrinks before its past-knee points come up, so the
+// wasted work is bounded by the points already in flight when the knee
+// completes. (Claiming the expected-longest points first would buy
+// nothing: the saturation cutoff keeps point cost nearly uniform, and it
+// would start every past-knee point before the point that cuts it.) Each
+// returned slice may therefore be shorter than its grid; it always
+// extends at least through the curve's first saturated point, because the
+// marker only ever shrinks to just past a completed point — every index
+// below the final marker ran.
 func runSet(jobs []curveJob, prog *progress) ([][]core.Result, error) {
 	results := make([][]core.Result, len(jobs))
 	errs := make([][]error, len(jobs))
@@ -111,7 +116,7 @@ func runSet(jobs []curveJob, prog *progress) ([][]core.Result, error) {
 	}
 	type task struct{ c, i int }
 	tasks := make([]task, 0, maxLen*len(jobs))
-	for i := maxLen - 1; i >= 0; i-- {
+	for i := 0; i < maxLen; i++ {
 		for c := range jobs {
 			if i < len(jobs[c].grid) {
 				tasks = append(tasks, task{c, i})

@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"coalloc/internal/core"
 	"coalloc/internal/obs"
 	"coalloc/internal/plot"
+	"coalloc/internal/workpool"
 )
 
 // TestScheduleModesRenderByteIdentical is the figure-level scheduling
@@ -94,6 +97,92 @@ func TestCurveSetModesMatch(t *testing.T) {
 			if a != b {
 				t.Errorf("curve %d point %d differs:\n  figure: %s\n  serial: %s", c, i, a, b)
 			}
+		}
+	}
+}
+
+// saturatePool holds every workpool slot until the returned function is
+// called, so a workpool.Do started in the meantime recruits no worker and
+// degrades to a serial loop on its caller. It relies on no other Do
+// running concurrently, which holds because this package's tests are not
+// parallel.
+func saturatePool(t *testing.T) (release func()) {
+	t.Helper()
+	n := workpool.Size()
+	var started sync.WaitGroup
+	started.Add(n + 1) // n recruited workers plus the calling goroutine
+	hold := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		workpool.Do(n+1, func(int) {
+			started.Done()
+			<-hold
+		})
+	}()
+	all := make(chan struct{})
+	go func() { started.Wait(); close(all) }()
+	select {
+	case <-all:
+	case <-time.After(30 * time.Second):
+		t.Fatal("could not take every workpool slot")
+	}
+	return func() { close(hold); <-finished }
+}
+
+// TestRunSetStopsAtKnee pins runSet's claim order. With the pool
+// saturated nothing is in flight when a point completes, so a curve whose
+// first saturated (or failed) point is index k must call its point
+// function exactly k+1 times: the stop marker cuts the past-knee points
+// before they are claimed.
+func TestRunSetStopsAtKnee(t *testing.T) {
+	defer saturatePool(t)()
+	grid := []float64{0, 1, 2, 3, 4, 5, 6, 7} // each point is its own index
+	// curves builds one curve per knee; a point at or past its curve's
+	// knee saturates, or fails with errSentinel when failAt says so.
+	curves := func(knees []int, failAt map[int]bool) ([]curveJob, []int) {
+		calls := make([]int, len(knees))
+		jobs := make([]curveJob, len(knees))
+		for c, knee := range knees {
+			jobs[c] = curveJob{label: fmt.Sprint("c", c), grid: grid, fn: func(u float64) (core.Result, error) {
+				calls[c]++
+				if int(u) < knee {
+					return core.Result{}, nil
+				}
+				if failAt[c] {
+					return core.Result{}, errSentinel
+				}
+				return core.Result{Saturated: true}, nil
+			}}
+		}
+		return jobs, calls
+	}
+
+	knees := []int{2, 5, 7, 0, len(grid)} // the last curve never saturates
+	jobs, calls := curves(knees, nil)
+	out, err := runSet(jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, knee := range knees {
+		want := min(knee+1, len(grid))
+		if calls[c] != want {
+			t.Errorf("curve %d (knee %d): point function called %d times, want %d", c, knee, calls[c], want)
+		}
+		if len(out[c]) != want {
+			t.Errorf("curve %d (knee %d): %d results, want %d", c, knee, len(out[c]), want)
+		}
+	}
+
+	knees = []int{6, 3, 1}
+	jobs, calls = curves(knees, map[int]bool{1: true})
+	if _, err := runSet(jobs, nil); err != errSentinel {
+		t.Fatalf("runSet error %v, want the failing point's", err)
+	}
+	for c, knee := range knees {
+		if calls[c] != knee+1 {
+			t.Errorf("curve %d (knee %d, fails %v): point function called %d times, want %d",
+				c, knee, c == 1, calls[c], knee+1)
 		}
 	}
 }

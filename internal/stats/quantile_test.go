@@ -141,13 +141,10 @@ func TestQuantileSet(t *testing.T) {
 	if math.Abs(s.Q50.Value()-0.5) > 0.02 {
 		t.Errorf("median %g", s.Q50.Value())
 	}
-	if math.Abs(s.Q90.Value()-0.9) > 0.02 {
-		t.Errorf("p90 %g", s.Q90.Value())
-	}
 	if math.Abs(s.Q95.Value()-0.95) > 0.02 {
 		t.Errorf("p95 %g", s.Q95.Value())
 	}
-	if !(s.Q50.Value() < s.Q90.Value() && s.Q90.Value() < s.Q95.Value()) {
+	if !(s.Q50.Value() < s.Q95.Value()) {
 		t.Error("quantiles out of order")
 	}
 	s.Reset()
