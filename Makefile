@@ -12,7 +12,7 @@ BENCHES = BenchmarkEngineEventRate|BenchmarkPolicyThroughput|BenchmarkBackfillPo
 # "overhauled" arm).
 FIGBENCH = BenchmarkFigureWallClock
 
-.PHONY: verify test bench bench-smoke bench-check bench-baseline bench-record cpuprofile lint fmt-check
+.PHONY: verify test bench bench-smoke bench-check bench-ab bench-baseline bench-record cpuprofile lint fmt-check
 
 # verify is the tier-1 gate: formatting, vet, build, the detlint
 # determinism rules (cmd/mclint), the full test suite, and the test
@@ -93,6 +93,21 @@ bench-check:
 		bash perfbench/run.sh --workload drivers --seed $$seed --seconds 1 --trace 0 | grep -q '"correct":true' || \
 			{ echo "bench-check: drivers workload at seed $$seed is not correct"; exit 1; }; \
 	done
+
+# bench-ab is the interleaved A/B comparison of the repository benchmark
+# between a base revision and the working tree (scripts/benchab):
+#
+#	make bench-ab BASE=HEAD~1 WORKLOAD=fig3 PAIRS=10
+#
+# It builds perfbench for both, alternates their runs at seeds 1 and 7
+# with the order swapped every pair, each run as long as BENCHMARK.json's
+# run_seconds, and prints min, median and IQR per arm plus the pairs the
+# working tree won for each end-to-end metric.
+BASE ?= HEAD
+WORKLOAD ?= fig3
+PAIRS ?= 10
+bench-ab:
+	$(GO) run ./scripts/benchab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # bench-record re-measures the hot paths into BENCH_3.json: the amortized
 # numbers under "after" (the profile-overhaul record README cites) and

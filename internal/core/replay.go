@@ -126,6 +126,7 @@ func Replay(rc ReplayConfig) (ReplayResult, error) {
 	}
 	defer s.obs.SetClock(nil) // see Run
 	s.source = recordedArrivals
+	s.detail = newDetailStats(cfg) // for the quantiles and slowdown
 	capacity := s.m.Capacity()
 	for _, r := range recs {
 		if r.Size <= 0 || r.Service <= 0 {
@@ -160,9 +161,9 @@ func Replay(rc ReplayConfig) (ReplayResult, error) {
 		Policy:         rc.Policy,
 		Jobs:           int(s.respAll.N()),
 		MeanResponse:   s.respAll.Mean(),
-		MedianResponse: s.quantiles.Q50.Value(),
-		P95Response:    s.quantiles.Q95.Value(),
-		MeanSlowdown:   s.slowdown.Mean(),
+		MedianResponse: s.detail.quantiles.Q50.Value(),
+		P95Response:    s.detail.quantiles.Q95.Value(),
+		MeanSlowdown:   s.detail.slowdown.Mean(),
 		// The run ends on the last departure; recs is sorted by submit
 		// time, so the first arrival is recs[0]'s.
 		Makespan: s.eng.Now() - recs[0].Submit/load,

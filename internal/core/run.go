@@ -113,20 +113,19 @@ type simulation struct {
 	cutoffPrev   int   // backlog growth at the previous checkpoint
 	cutoffFired  bool
 
+	// The summary accumulators every front end reports.
 	busy        stats.TimeWeighted
-	busyPer     []stats.TimeWeighted
 	inSystem    stats.TimeWeighted
 	respAll     stats.Welford
 	respLocal   stats.Welford
 	respGlobal  stats.Welford
-	respByClass []stats.Welford
-	slowdown    stats.Welford
-	quantiles   *stats.QuantileSet
-	batch       *stats.BatchMeans
 	grossWork   float64
 	netWork     float64
 	measureFrom float64
 	queueAtWarm int
+	// detail holds the accumulators only some front ends report; nil
+	// keeps none of them (see detailStats).
+	detail *detailStats
 
 	// Fault injection (nil / unused unless Config.Faults is enabled; the
 	// fault-free hot path pays one nil compare per departure).
@@ -175,8 +174,8 @@ func (s *simulation) Dispatch(j *workload.Job, placement []int) {
 	s.dec.Dispatch(now, j, s.m, s.fit, placement)
 	s.m.Alloc(j.Components, placement)
 	s.busy.Set(now, float64(s.m.Busy()))
-	for i, c := range placement {
-		s.busyPer[c].Add(now, float64(j.Components[i]))
+	if s.detail != nil {
+		s.detail.occupy(now, j, 1)
 	}
 	// A checkpointed resubmission runs only its remainder and charges the
 	// utilization integrals pro rata. The branch keeps the fault-free path
@@ -227,18 +226,17 @@ func (s *simulation) depart(j *workload.Job) {
 	s.obs.Departure(now, j.ID, j.ResponseTime())
 	s.m.Release(j.Components, j.Placement)
 	s.busy.Set(now, float64(s.m.Busy()))
-	for i, c := range j.Placement {
-		s.busyPer[c].Add(now, -float64(j.Components[i]))
+	if s.detail != nil {
+		s.detail.occupy(now, j, -1)
 	}
 	s.inSystem.Add(now, -1)
 	s.finished++
 	if s.measuring {
 		r := j.ResponseTime()
 		s.respAll.Add(r)
-		s.batch.Add(r)
-		s.quantiles.Add(r)
-		s.respByClass[SizeClass(j.TotalSize)].Add(r)
-		s.slowdown.Add(boundedSlowdown(r, j.ServiceTime))
+		if s.detail != nil {
+			s.detail.add(j, r)
+		}
 		if j.Queue == workload.GlobalQueue {
 			s.respGlobal.Add(r)
 		} else {
@@ -313,18 +311,13 @@ func (s *simulation) startMeasuring(now float64) {
 	s.measuring = true
 	s.measureFrom = now
 	s.busy.StartAt(now, float64(s.m.Busy()))
-	for c := range s.busyPer {
-		s.busyPer[c].StartAt(now, s.busyPer[c].Level())
-	}
 	s.inSystem.StartAt(now, s.inSystem.Level())
 	s.respAll.Reset()
 	s.respLocal.Reset()
 	s.respGlobal.Reset()
-	for i := range s.respByClass {
-		s.respByClass[i].Reset()
+	if s.detail != nil {
+		s.detail.reset(now)
 	}
-	s.slowdown.Reset()
-	s.quantiles.Reset()
 	s.grossWork, s.netWork = 0, 0
 	s.queueAtWarm = s.pol.Queued()
 	if s.flt != nil {
@@ -415,7 +408,7 @@ func (s *simulation) admit(j *workload.Job) {
 // policy, drawing its workload from the streams named "<streams>/sizes",
 // "<streams>/services", "<streams>/routing" and so on, into arena. The run
 // starts busy-time and fault accounting at t=0 but schedules no arrival:
-// that and the measurement window are up to the caller.
+// that, the measurement window and the detail set are up to the caller.
 func newSimulation(cfg Config, pol policies.Policy, streams string, arena *workload.Arena) (*simulation, error) {
 	var tr *Trace
 	if cfg.TraceProvider != nil {
@@ -428,15 +421,9 @@ func newSimulation(cfg Config, pol policies.Policy, streams string, arena *workl
 	}
 	src := rng.NewSource(cfg.Seed)
 	cdf := routingCDF(cfg.QueueWeights, len(cfg.ClusterSizes))
-	batchSize := int64(cfg.MeasureJobs / 30)
-	if batchSize < 1 {
-		batchSize = 1
-	}
 	s := &simulation{
 		eng:         sim.New(),
 		m:           cluster.New(cfg.ClusterSizes),
-		busyPer:     make([]stats.TimeWeighted, len(cfg.ClusterSizes)),
-		respByClass: make([]stats.Welford, len(SizeClassBounds)),
 		pol:         pol,
 		spec:        cfg.Spec,
 		arena:       arena,
@@ -451,8 +438,6 @@ func newSimulation(cfg Config, pol policies.Policy, streams string, arena *workl
 		routeCDF:    cdf,
 		warmupJobs:  cfg.WarmupJobs,
 		measureJobs: cfg.MeasureJobs,
-		batch:       stats.NewBatchMeans(batchSize),
-		quantiles:   stats.NewQuantileSet(),
 	}
 	if cfg.SaturationCutoff {
 		s.cutoffOn = true
@@ -525,6 +510,9 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	defer s.recycle()
+	if !cfg.SummaryOnly {
+		s.detail = newDetailStats(cfg)
+	}
 	// The clock is a method value on the engine, whose handler closes over
 	// the whole simulation: detach it so an Observer that outlives the run
 	// does not keep the run alive.
@@ -546,38 +534,25 @@ func Run(cfg Config) (Result, error) {
 	res := Result{
 		Policy:             cfg.Policy,
 		MeanResponse:       s.respAll.Mean(),
-		RespHalfWidth:      s.batch.HalfWidth(0.95),
 		MeanResponseLocal:  meanOrNaN(&s.respLocal),
 		MeanResponseGlobal: meanOrNaN(&s.respGlobal),
-		MedianResponse:     s.quantiles.Q50.Value(),
-		P95Response:        s.quantiles.Q95.Value(),
-		MeanSlowdown:       s.slowdown.Mean(),
-		ResponseBySizeClass: func() []float64 {
-			out := make([]float64, len(s.respByClass))
-			for i := range s.respByClass {
-				out[i] = meanOrNaN(&s.respByClass[i])
-			}
-			return out
-		}(),
-		OfferedGross: cfg.ArrivalRate * cfg.Spec.MeanGrossWork() / capacity,
-		Jobs:         int(s.respAll.N()),
-		FinalQueue:   s.pol.Queued(),
-		SimTime:      window,
+		OfferedGross:       cfg.ArrivalRate * cfg.Spec.MeanGrossWork() / capacity,
+		Jobs:               int(s.respAll.N()),
+		FinalQueue:         s.pol.Queued(),
+		SimTime:            window,
 	}
 	if window > 0 {
 		res.GrossUtilization = s.busy.Average(now) / capacity
 		res.NetUtilization = s.netWork / (capacity * window)
 		res.MeanJobsInSystem = s.inSystem.Average(now)
 		res.Throughput = float64(res.Jobs) / window
-		res.PerClusterUtilization = make([]float64, len(s.busyPer))
-		min, max := math.Inf(1), math.Inf(-1)
-		for c := range s.busyPer {
-			u := s.busyPer[c].Average(now) / float64(s.m.Size(c))
-			res.PerClusterUtilization[c] = u
-			min = math.Min(min, u)
-			max = math.Max(max, u)
-		}
-		res.UtilizationImbalance = max - min
+	}
+	if s.detail != nil {
+		s.detail.report(&res, s.m, now, window)
+	} else {
+		nan := math.NaN()
+		res.RespHalfWidth, res.MedianResponse, res.P95Response = nan, nan, nan
+		res.MeanSlowdown, res.UtilizationImbalance = nan, nan
 	}
 	if s.dec != nil {
 		res.Decisions = s.dec.Decisions
@@ -617,6 +592,88 @@ func Run(cfg Config) (Result, error) {
 		s.obs.SaturationCutoff(res.TruncatedJobs)
 	}
 	return res, nil
+}
+
+// detailStats holds the accumulators behind Result's detail fields: the
+// P² quantiles, bounded slowdown, batch means, per-size-class means and
+// per-cluster busy integrals. They cost about a fifth of a sweep's CPU, so
+// a run keeps them only when its front end reports any of them: Run unless
+// Config.SummaryOnly is set, and Replay. RunBacklog keeps none.
+type detailStats struct {
+	quantiles   *stats.QuantileSet
+	slowdown    stats.Welford
+	batch       *stats.BatchMeans
+	respByClass []stats.Welford
+	busyPer     []stats.TimeWeighted
+}
+
+// newDetailStats returns the detail set of a run.
+func newDetailStats(cfg Config) *detailStats {
+	batchSize := int64(cfg.MeasureJobs / 30)
+	if batchSize < 1 {
+		batchSize = 1
+	}
+	return &detailStats{
+		quantiles:   stats.NewQuantileSet(),
+		batch:       stats.NewBatchMeans(batchSize),
+		respByClass: make([]stats.Welford, len(SizeClassBounds)),
+		busyPer:     make([]stats.TimeWeighted, len(cfg.ClusterSizes)),
+	}
+}
+
+// add records a measured departure with response time r.
+func (d *detailStats) add(j *workload.Job, r float64) {
+	d.quantiles.Add(r)
+	d.slowdown.Add(boundedSlowdown(r, j.ServiceTime))
+	d.batch.Add(r)
+	d.respByClass[SizeClass(j.TotalSize)].Add(r)
+}
+
+// occupy moves the per-cluster busy integrals by sign (+1 on dispatch, -1
+// on release) times the job's components on its placement.
+//
+//detlint:noalloc
+func (d *detailStats) occupy(now float64, j *workload.Job, sign float64) {
+	for i, c := range j.Placement {
+		d.busyPer[c].Add(now, sign*float64(j.Components[i]))
+	}
+}
+
+// reset restarts the detail set at the end of the warmup period. The batch
+// means need no reset: they only ever see measured departures.
+func (d *detailStats) reset(now float64) {
+	d.quantiles.Reset()
+	d.slowdown.Reset()
+	for i := range d.respByClass {
+		d.respByClass[i].Reset()
+	}
+	for c := range d.busyPer {
+		d.busyPer[c].StartAt(now, d.busyPer[c].Level())
+	}
+}
+
+// report fills an open-system Result's detail fields, for a measurement
+// window that ends at now.
+func (d *detailStats) report(res *Result, m *cluster.Multicluster, now, window float64) {
+	res.RespHalfWidth = d.batch.HalfWidth(0.95)
+	res.MedianResponse = d.quantiles.Q50.Value()
+	res.P95Response = d.quantiles.Q95.Value()
+	res.MeanSlowdown = d.slowdown.Mean()
+	res.ResponseBySizeClass = make([]float64, len(d.respByClass))
+	for i := range d.respByClass {
+		res.ResponseBySizeClass[i] = meanOrNaN(&d.respByClass[i])
+	}
+	if window > 0 {
+		res.PerClusterUtilization = make([]float64, len(d.busyPer))
+		min, max := math.Inf(1), math.Inf(-1)
+		for c := range d.busyPer {
+			u := d.busyPer[c].Average(now) / float64(m.Size(c))
+			res.PerClusterUtilization[c] = u
+			min = math.Min(min, u)
+			max = math.Max(max, u)
+		}
+		res.UtilizationImbalance = max - min
+	}
 }
 
 func meanOrNaN(w *stats.Welford) float64 {
@@ -694,6 +751,9 @@ func RunReplications(cfg Config, n int) (Result, error) {
 // across-replication summary. Keeping it separate from the (parallel)
 // gathering pins down the determinism guarantee: the merge arithmetic sees
 // the same values in the same order regardless of completion order.
+// Detail fields a replication did not keep (NaN or nil under
+// Config.SummaryOnly) are skipped, so they merge to NaN or nil and never
+// touch a summary field.
 func mergeReplications(results []Result) Result {
 	n := len(results)
 	var merged Result
@@ -701,6 +761,7 @@ func mergeReplications(results []Result) Result {
 	var median, p95, slow, inSystem, throughput, imbalance stats.Welford
 	var availFrac stats.Welford
 	byClass := make([]stats.Welford, len(SizeClassBounds))
+	byClassSeen := false
 	var perCluster []stats.Welford
 	var offered, simTime float64
 	var jobs, finalQueue int
@@ -736,7 +797,10 @@ func mergeReplications(results []Result) Result {
 		if !math.IsNaN(r.P95Response) {
 			p95.Add(r.P95Response)
 		}
-		slow.Add(r.MeanSlowdown)
+		if !math.IsNaN(r.MeanSlowdown) {
+			slow.Add(r.MeanSlowdown)
+		}
+		byClassSeen = byClassSeen || r.ResponseBySizeClass != nil
 		for ci, v := range r.ResponseBySizeClass {
 			if !math.IsNaN(v) {
 				byClass[ci].Add(v)
@@ -744,8 +808,10 @@ func mergeReplications(results []Result) Result {
 		}
 		inSystem.Add(r.MeanJobsInSystem)
 		throughput.Add(r.Throughput)
-		imbalance.Add(r.UtilizationImbalance)
-		if perCluster == nil {
+		if !math.IsNaN(r.UtilizationImbalance) {
+			imbalance.Add(r.UtilizationImbalance)
+		}
+		if perCluster == nil && r.PerClusterUtilization != nil {
 			perCluster = make([]stats.Welford, len(r.PerClusterUtilization))
 		}
 		for ci, u := range r.PerClusterUtilization {
@@ -769,17 +835,21 @@ func mergeReplications(results []Result) Result {
 	merged.MeanResponseGlobal = meanOrNaN(&respGlobal)
 	merged.MedianResponse = meanOrNaN(&median)
 	merged.P95Response = meanOrNaN(&p95)
-	merged.MeanSlowdown = slow.Mean()
-	merged.ResponseBySizeClass = make([]float64, len(byClass))
-	for ci := range byClass {
-		merged.ResponseBySizeClass[ci] = meanOrNaN(&byClass[ci])
+	merged.MeanSlowdown = meanOrNaN(&slow)
+	if byClassSeen {
+		merged.ResponseBySizeClass = make([]float64, len(byClass))
+		for ci := range byClass {
+			merged.ResponseBySizeClass[ci] = meanOrNaN(&byClass[ci])
+		}
 	}
 	merged.MeanJobsInSystem = inSystem.Mean()
 	merged.Throughput = throughput.Mean()
-	merged.UtilizationImbalance = imbalance.Mean()
-	merged.PerClusterUtilization = make([]float64, len(perCluster))
-	for ci := range perCluster {
-		merged.PerClusterUtilization[ci] = perCluster[ci].Mean()
+	merged.UtilizationImbalance = meanOrNaN(&imbalance)
+	if perCluster != nil {
+		merged.PerClusterUtilization = make([]float64, len(perCluster))
+		for ci := range perCluster {
+			merged.PerClusterUtilization[ci] = perCluster[ci].Mean()
+		}
 	}
 	merged.GrossUtilization = gross.Mean()
 	merged.NetUtilization = net.Mean()

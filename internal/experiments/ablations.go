@@ -82,6 +82,7 @@ func (e *Env) pointTyped(cs CurveSpec, rt workload.RequestType, util float64) (c
 		Seed:             e.Seed,
 		Observer:         e.Observer,
 		SaturationCutoff: e.SaturationCutoff,
+		SummaryOnly:      true,
 	}
 	return e.runPoint(cfg)
 }
@@ -208,7 +209,10 @@ func SizeClasses(e *Env) (string, error) {
 	}
 	rows := [][]string{header}
 	for _, cs := range e.standardCurves(16, nil) {
-		res, err := e.Point(cs, util)
+		// The size classes are a detail statistic that sweep points skip.
+		cfg := e.pointConfig(cs, util)
+		cfg.SummaryOnly = false
+		res, err := e.runPoint(cfg)
 		if err != nil {
 			return "", err
 		}

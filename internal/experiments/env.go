@@ -286,7 +286,12 @@ func (e *Env) netSeries(label string, results []core.Result) (gross, net plot.Se
 	return gross, net
 }
 
-// Point runs one configuration at one offered gross utilization.
+// Point runs one configuration at one offered gross utilization. It runs
+// with core.Config.SummaryOnly set, so the Result's detail fields
+// (MedianResponse, P95Response, MeanSlowdown, UtilizationImbalance and a
+// single run's RespHalfWidth) read NaN and ResponseBySizeClass and
+// PerClusterUtilization are nil. A caller that needs them builds the
+// config with pointConfig and clears the flag, as SizeClasses does.
 func (e *Env) Point(cs CurveSpec, util float64) (core.Result, error) {
 	return e.point(cs, util)
 }
@@ -315,7 +320,8 @@ func (e *Env) runPoint(cfg core.Config) (core.Result, error) {
 }
 
 // pointConfig builds the run configuration of one sweep point, with the
-// shared workload trace attached for unordered requests.
+// shared workload trace attached for unordered requests. The point keeps
+// summary statistics only (core.Config.SummaryOnly).
 func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 	var capacity int
 	for _, s := range cs.ClusterSizes {
@@ -335,6 +341,9 @@ func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 		Lookahead:        e.Lookahead,
 		SaturationCutoff: e.SaturationCutoff,
 		Decisions:        e.Decisions,
+		// The figures and tables read only summary fields; SizeClasses,
+		// the one reader of a detail field, turns the detail set back on.
+		SummaryOnly: true,
 	}
 	if cfg.RequestType == workload.Unordered {
 		cfg.TraceProvider = e.traces.provider(cfg)
@@ -342,7 +351,8 @@ func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 	return cfg
 }
 
-// FaultPoint is Point with fault injection (nil fs = fault-free). The
+// FaultPoint is Point with fault injection (nil fs = fault-free), and like
+// Point it runs summary-only. The
 // workload trace is shared with every other rate at this point, failure
 // draws come from their own streams, so the whole degradation grid runs on
 // a common job sequence and differences are purely the failures.

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -391,6 +394,51 @@ func TestCheckpointRenders(t *testing.T) {
 	}
 }
 
+// allOutputDigests pins what All renders and writes at the preset of
+// TestAllRunsEveryExperiment: the SHA-256 of each experiment's section of
+// the text ("text/<name>") and of each CSV ("csv/<file>"). The digests were
+// recorded before sweep points stopped keeping the detail statistics
+// (core.Config.SummaryOnly), so an experiment that reads a statistic its
+// points no longer keep renders "-" or NaN where a number was and fails
+// here by name.
+var allOutputDigests = map[string]string{
+	"csv/backfill.csv":   "e3324d94179ef6bb56b382c05357557d3a36fbf009bfa7304bc11d0eb91bfb94",
+	"csv/checkpoint.csv": "66c33bf9824f66968b721f8c39353023bf103edb8e4ca8d07e2fb3654b8ab026",
+	"csv/discipline.csv": "36bd12fd9c68dad41b7a18736dec2d619c981e4245a505cf89051f98f9340e20",
+	"csv/faults.csv":     "6b5a8b8af831d32e9f94c1c6846c50fbeae680347b9294c9916acdbd4f001edf",
+	"csv/fig1.csv":       "7d842e377f7248675141f947f6191a5a968ee698ea227c50349782cf7b926142",
+	"csv/fig2.csv":       "e8fd572ddfd3b2eee47dc49e6067f4eee9a098286192639e0658ed2aca5fac0b",
+	"csv/fig3.csv":       "2a8d5fe883cbd1ef7e661229624bdd05e70e88ef8c15476ceac79568ec77ca27",
+	"csv/fig5.csv":       "cbfe8542983344945477066410ed0135d37229714f8abd249c76155a04ee66a2",
+	"csv/fig6.csv":       "d4a0ebdf6ef4e66d99d02c82cc244316b27d2dd41fc5e59335f1f11d8dcce50d",
+	"csv/fig7.csv":       "38e3cffe21790c67fd0f241b047c070caef0ea43e4b354107eefde23828e74f2",
+	"csv/fits.csv":       "4ac0bc188b6a3356c1766b2751ca24921720c47eaaf8d047c4706f7ab9e403c8",
+	"csv/regret.csv":     "1ad944a741e6f8beea92b8b7a8ec3d2602b3899c2378da540bc5d640cc01a348",
+	"csv/reqtypes.csv":   "ecf7927fa4d7eb8612a5348ca9bca202b2c6cb5eebd066f779c403ad11fabac4",
+	"text/backfill":      "084d13ffa1c62c4e8a096bdf66bfe2b0151668880ee1fb3f4dea40f0fba5c6bf",
+	"text/checkpoint":    "4db686e8ad2718dadc75470e802caadc9ed1008fd58497793dce9739f454aba8",
+	"text/discipline":    "c83d79514fb4ac0d3734fa3e35999e97a1f3effabd70d46e7f1022b439493a98",
+	"text/extsweep":      "c05901430db50afa221e3d9536b8b8d25dac300dcefb04da41b5e1d27fdef31a",
+	"text/faults":        "b3560c25be23c5a328bcae15949ae853fc0e735bac518ea268c80cbe03e84523",
+	"text/fig1":          "2f40fcb7ec9c8c1e60798ca38e02c312646fe845c5031a8582b9b3b6d110e425",
+	"text/fig2":          "f16288f39806c5b3a3d6c634d8571aa74e65ad1a17b3e7b636874bab8feb9d08",
+	"text/fig3":          "b9584c838103d9d679f7ef474d89dfb4bbd24526afcbc187417b38ebd63301aa",
+	"text/fig4":          "8c8f8b8593b0730917960ea844dd50cd312bfb3873d62f92bc8c0671a469ee94",
+	"text/fig5":          "8f77d1d2f33aee4ff0e88d59ae32642d9c8b47b869a327a58e94e0c5b5bc6dc3",
+	"text/fig6":          "9fd15082daa55c3bf43e9bb0683dcfb659a9efad7a5c6f990268d38e05c0f9cd",
+	"text/fig7":          "47b086c4830f2c5411e1d3a0ca6b7afb05995a9dae537dfcfa49cdc77ddd398a",
+	"text/fits":          "23099d5c0da0c807e92c3f9bdaf712731cc6779945c481b32fd16ca83c4d99f0",
+	"text/ratio":         "f706b6da1f11a73c5a68b4b9f711572efd924757107526c3f7fef4cd7bd6cc8f",
+	"text/reenable":      "6d2c149ab445d5caf1789e0ea1dbfac32e58e182e27a35fb90cb0cc44065bbfd",
+	"text/regret":        "dff0d30be136fdae1813a846a101963e12be1677d9efcbedd0a0fa6f83d708d3",
+	"text/reqtypes":      "71092c3889b851a7ef1a168f7934aec0b162f646c60a9a655c714ffd9c3869ff",
+	"text/sizeclasses":   "4ce8ceb9b7b8eda4ffd27fe355c9f224360fcba503d8ad087147ca8f5cce84cd",
+	"text/table1":        "b789001856c5e82bc5179a035a12dd63550c8280ef9c62ee09b1073a9e055ea6",
+	"text/table2":        "9ee902b6e8a1c5785e15d3d3d5c5acf9a02cfb70dbbae3ccefdff04424b2aa8c",
+	"text/table3":        "5db7252a878c8bed38e2aacbd50ce84dab529b79cad86ba6a09032debdca4b0f",
+	"text/workload":      "94469d357319521c2bc75172eaf2054bec407bba12deba32aa5f6e37db8a2dbf",
+}
+
 func TestAllRunsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
@@ -402,15 +450,57 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 	p.BacklogWarmup = 1000
 	p.BacklogMeasure = 5000
 	env := NewEnv(p)
+	env.DataDir = t.TempDir()
 	out, err := All(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range Names() {
-		if !strings.Contains(out, "================ "+name+" ================") {
+	got := map[string]string{}
+	names := Names()
+	for _, name := range names {
+		header := "================ " + name + " ================\n"
+		i := strings.Index(out, header)
+		if i < 0 {
 			t.Errorf("All output missing section %q", name)
+			continue
+		}
+		section := out[i+len(header):]
+		if j := strings.Index(section, "\n================ "); j >= 0 {
+			section = section[:j]
+		}
+		got["text/"+name] = sha256Hex([]byte(section))
+	}
+	files, err := os.ReadDir(env.DataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(env.DataDir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["csv/"+f.Name()] = sha256Hex(data)
+	}
+	keys := make([]string, 0, len(got)+len(allOutputDigests))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	for k := range allOutputDigests {
+		if _, ok := got[k]; !ok {
+			keys = append(keys, k)
 		}
 	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if got[k] != allOutputDigests[k] {
+			t.Errorf("%s: digest %q, want %q", k, got[k], allOutputDigests[k])
+		}
+	}
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestSweepSharedTraceMatchesPerPolicy is the sweep-level common-random-
